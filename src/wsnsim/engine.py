@@ -29,7 +29,7 @@ from .protocols import (
     eligibility_for,
     form_clusters,
 )
-from .radio import aggregation_energy, crossover_distance
+from .radio import aggregation_energy, rx_energy, tx_energy_fn
 
 logger = logging.getLogger(__name__)
 
@@ -79,8 +79,8 @@ class RoundTransmissions:
 class EngineState:
     """Mutable state owned by a single run."""
 
-    nodes: list[Node]
     nodes_by_id: dict[int, Node]
+    bs_cost: dict[int, float]
     geometry: FieldGeometry
     probs: TierProbabilities
     eligibility: EligibilityState
@@ -112,18 +112,23 @@ def transmission_costs(
     nodes_by_id: dict[int, Node],
     radio: RadioParams,
     bits: int,
+    bs_cost: dict[int, float] | None = None,
 ) -> RoundTransmissions:
     """Energy cost of one round's traffic, keyed by node id.
 
     Members pay one transmission to their head; heads pay reception per
     member, aggregation over members+1 signals, and one transmission to the
     base station; unclustered nodes pay one transmission to the base station.
-    Transmit cost is an inline copy of radio.tx_energy with the loop-invariant
-    factors hoisted; the operation order matches exactly (guarded by tests).
+    `bs_cost` maps node id to its (static) transmit cost to the base station;
+    initial_state builds it once per run, and when it is omitted it is
+    computed here from nodes_by_id.
+    Costs are inserted cluster by cluster, members before their head, then
+    the unclustered nodes; the dissipation ledger sums them in that order.
     """
-    d0 = crossover_distance(radio)
-    e_elec, eps_fs, eps_mp = radio.e_elec, radio.eps_fs, radio.eps_mp
-    elec_term = bits * e_elec  # == rx_energy(radio, bits)
+    tx = tx_energy_fn(radio, bits)
+    if bs_cost is None:
+        bs_cost = {nid: tx(node.distance_to_bs) for nid, node in nodes_by_id.items()}
+    rx = rx_energy(radio, bits)
     costs: dict[int, float] = {}
     packets = 0
     member_distance_sum = 0.0
@@ -131,32 +136,25 @@ def transmission_costs(
     head_distance_sum = 0.0
     hypot = math.hypot
     for cluster in assignment.clusters:
-        head = nodes_by_id[cluster.head_id]
+        head_id = cluster.head_id
+        head = nodes_by_id[head_id]
         hx, hy = head.x, head.y
         for mid in cluster.member_ids:
             m = nodes_by_id[mid]
             d = hypot(m.x - hx, m.y - hy)
-            d2 = d * d
-            amp = eps_fs * d2 if d < d0 else eps_mp * d2 * d2
-            costs[mid] = elec_term + bits * amp
+            costs[mid] = tx(d)
             member_distance_sum += d
         n_members = len(cluster.member_ids)
         member_count += n_members
-        d = head.distance_to_bs
-        d2 = d * d
-        amp = eps_fs * d2 if d < d0 else eps_mp * d2 * d2
-        costs[cluster.head_id] = (
-            n_members * elec_term
+        costs[head_id] = (
+            n_members * rx
             + aggregation_energy(radio, bits, n_members + 1)
-            + (elec_term + bits * amp)
+            + bs_cost[head_id]
         )
-        head_distance_sum += d
+        head_distance_sum += head.distance_to_bs
         packets += 1
     for uid in assignment.unclustered:
-        d = nodes_by_id[uid].distance_to_bs
-        d2 = d * d
-        amp = eps_fs * d2 if d < d0 else eps_mp * d2 * d2
-        costs[uid] = elec_term + bits * amp
+        costs[uid] = bs_cost[uid]
         packets += 1
     return RoundTransmissions(
         costs=costs,
@@ -188,7 +186,7 @@ def simulate_round(
     )
     assignment = form_clusters(state.alive_nodes, heads, state.geometry)
     tr = transmission_costs(
-        assignment, state.nodes_by_id, config.radio, config.packet_bits
+        assignment, state.nodes_by_id, config.radio, config.packet_bits, state.bs_cost
     )
 
     by_id = state.nodes_by_id
@@ -235,15 +233,17 @@ def simulate_round(
 
 
 def initial_state(config: SimConfig, nodes: list[Node]) -> EngineState:
-    """Engine state for a fresh deployment; distance average and tier
-    probabilities are fixed here and never recomputed."""
+    """Engine state for a fresh deployment; distance average, tier
+    probabilities and base-station transmit costs are fixed here and never
+    recomputed."""
     probs = weighted_probabilities(config.p_opt, config.hetero)
     by_tier = {tier: 0 for tier in NodeTier}
     for node in nodes:
         by_tier[node.tier] += 1
+    tx = tx_energy_fn(config.radio, config.packet_bits)
     return EngineState(
-        nodes=nodes,
         nodes_by_id={node.id: node for node in nodes},
+        bs_cost={node.id: tx(node.distance_to_bs) for node in nodes},
         geometry=FieldGeometry(nodes),
         probs=probs,
         eligibility=eligibility_for(config.protocol, probs, config.p_opt),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from .model import RadioParams
 
@@ -17,16 +18,28 @@ def crossover_distance(radio: RadioParams) -> float:
     return math.sqrt(radio.eps_fs / radio.eps_mp)
 
 
+def tx_energy_fn(radio: RadioParams, bits: int) -> Callable[[float], float]:
+    """Energy to transmit `bits` as a function of the distance in metres.
+
+    This is the one implementation of the transmit rule.  The constants are
+    bound once, so a caller that prices many links (the engine builds one per
+    run) pays a single call per link.
+    """
+    d0 = crossover_distance(radio)
+    elec = bits * radio.e_elec
+    eps_fs, eps_mp = radio.eps_fs, radio.eps_mp
+
+    def tx(distance: float) -> float:
+        d2 = distance * distance
+        amp = eps_fs * d2 if distance < d0 else eps_mp * d2 * d2
+        return elec + bits * amp
+
+    return tx
+
+
 def tx_energy(radio: RadioParams, bits: int, distance: float) -> float:
     """Energy to transmit `bits` over `distance` metres."""
-    # d^4 written as (d*d)*(d*d) so the fast inline copy in the engine's
-    # transmission loop stays bit-identical (see engine.transmission_costs).
-    d2 = distance * distance
-    if distance < crossover_distance(radio):
-        amp = radio.eps_fs * d2
-    else:
-        amp = radio.eps_mp * d2 * d2
-    return bits * radio.e_elec + bits * amp
+    return tx_energy_fn(radio, bits)(distance)
 
 
 def rx_energy(radio: RadioParams, bits: int) -> float:

@@ -85,8 +85,9 @@ class TestTransmissionCosts:
     )
     @settings(max_examples=120, deadline=None)
     def test_inline_tx_math_matches_radio_module_bitwise(self, hx, hy, mx, my, bits):
-        """The engine inlines tx_energy for speed; the inlined arithmetic must
-        reproduce the radio module float for float, not just approximately."""
+        """Cost composition: a member pays exactly tx_energy over its link, and
+        a head pays rx per member plus aggregation plus tx_energy to the base
+        station, summed in that order, float for float."""
         radio = RadioParams()
         head = make_node(0, hx, hy)
         member = make_node(1, mx, my)
@@ -104,6 +105,8 @@ class TestTransmissionCosts:
     @given(d_bs=st.floats(min_value=0.0, max_value=200.0))
     @settings(max_examples=60, deadline=None)
     def test_unclustered_cost_matches_radio_module_bitwise(self, d_bs):
+        """Cost composition: an unclustered node pays exactly one tx_energy
+        to the base station, float for float."""
         radio = RadioParams()
         node = make_node(0, 50.0 + d_bs, 50.0)
         assignment = ClusterAssignment(clusters=[], unclustered=[0])
