@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .model import HeterogeneityParams, Node, NodeTier, RadioParams
+from .model import HeterogeneityParams, Node, NodeTier
 
 
 @dataclass(frozen=True)
@@ -112,13 +112,9 @@ class EligibilityState:
     def is_eligible(self, node: Node, r: int) -> bool:
         return r >= self.eligible_from.get(node.id, 0)
 
-    def epoch_position(self, node: Node, r: int) -> int:
-        return r % self.epochs[node.tier]
-
     def mark_elected(self, node: Node, r: int) -> None:
         e = self.epochs[node.tier]
         self.eligible_from[node.id] = (r // e + 1) * e
-        node.last_elected_round = r
 
     def reset(self) -> None:
         self.eligible_from.clear()
@@ -136,33 +132,3 @@ def average_distance(nodes: Iterable[Node]) -> float:
         raise ValueError("average_distance needs at least one node")
     return total / count
 
-
-def optimal_cluster_count(
-    n: int, radio: RadioParams, field_width: float, d_to_bs: float
-) -> float:
-    """Analytic cluster count that minimises total dissipation for a square
-    field of side field_width with heads a distance d_to_bs from the sink."""
-    return (
-        math.sqrt(n / (2.0 * math.pi))
-        * math.sqrt(radio.eps_fs / radio.eps_mp)
-        * field_width
-        / (d_to_bs * d_to_bs)
-    )
-
-
-def expected_d_to_bs(field_width: float) -> float:
-    """Closed-form estimate 0.765 * M/2 of the mean node-to-centre distance
-    on a square field of side M."""
-    return 0.765 * field_width / 2.0
-
-
-def analytic_p_opt(n: int, radio: RadioParams) -> float:
-    """Election probability implied by the optimal cluster count derivation.
-
-    Under the default radio constants this evaluates to several hundred, far
-    outside (0, 1); it is kept as a reference calculator only and never feeds
-    the simulator, which takes its election rate from configuration.
-    """
-    return (1.0 / 0.765) * math.sqrt(n / (2.0 * math.pi)) * math.sqrt(
-        radio.eps_fs / radio.eps_mp
-    )

@@ -109,7 +109,7 @@ class SimConfig:
 
 @dataclass
 class Node:
-    """One sensor node.  Mutable: energy, liveness and election bookkeeping change per round."""
+    """One sensor node.  Mutable: energy and liveness change per round."""
 
     id: int
     x: float
@@ -119,7 +119,6 @@ class Node:
     residual_energy: float
     distance_to_bs: float
     alive: bool = True
-    last_elected_round: int | None = None
 
 
 def tier_counts(n: int, hetero: HeterogeneityParams) -> tuple[int, int, int]:

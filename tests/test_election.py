@@ -1,5 +1,5 @@
 """Election math: weighted tier probabilities, rotating thresholds, the
-distance-scaled variant, and the analytic reference calculators.
+distance-scaled variant, and eligibility bookkeeping.
 
 Monte Carlo expectations (mean node-to-centre distance) were produced with a
 plain-stdlib estimator before the module existed and are frozen here.
@@ -13,16 +13,13 @@ from hypothesis import assume, given, strategies as st
 
 from wsnsim.election import (
     EligibilityState,
-    analytic_p_opt,
     average_distance,
     dbcp_threshold,
     epoch_length,
-    expected_d_to_bs,
-    optimal_cluster_count,
     sep_threshold,
     weighted_probabilities,
 )
-from wsnsim.model import HeterogeneityParams, Node, NodeTier, RadioParams
+from wsnsim.model import HeterogeneityParams, Node, NodeTier
 
 
 def hetero(m=0.2, m0=0.1, a=2.0, b=3.0, e0=0.5):
@@ -209,7 +206,6 @@ class TestEligibilityState:
         state = EligibilityState({tier: 10 for tier in NodeTier})
         node = make_node()
         state.mark_elected(node, 3)
-        assert node.last_elected_round == 3
         for r in range(3, 10):
             assert not state.is_eligible(node, r)
         assert state.is_eligible(node, 10)
@@ -230,11 +226,6 @@ class TestEligibilityState:
         assert state.is_eligible(adv, 5)
         assert not state.is_eligible(normal, 5)
         assert state.is_eligible(normal, 15)
-
-    def test_epoch_position(self):
-        state = EligibilityState({NodeTier.NORMAL: 10})
-        node = make_node()
-        assert state.epoch_position(node, 23) == 3
 
     def test_reset(self):
         state = EligibilityState({tier: 10 for tier in NodeTier})
@@ -265,39 +256,4 @@ class TestAverageDistance:
             for i in range(20000)
         ]
         assert average_distance(nodes) == pytest.approx(38.26, abs=0.4)
-        # and the closed-form estimate sits right next to it
-        assert expected_d_to_bs(100.0) == pytest.approx(38.25, abs=1e-12)
 
-
-class TestReferenceCalculators:
-    def test_optimal_cluster_count_frozen_value(self):
-        assert optimal_cluster_count(100, RadioParams(), 100.0, 38.25) == pytest.approx(
-            23.92, abs=0.05
-        )
-
-    def test_inverse_square_in_distance(self):
-        radio = RadioParams()
-        k1 = optimal_cluster_count(100, radio, 100.0, 30.0)
-        k2 = optimal_cluster_count(100, radio, 100.0, 60.0)
-        assert k2 == pytest.approx(k1 / 4.0, rel=1e-12)
-
-    def test_sqrt_scaling_in_n(self):
-        radio = RadioParams()
-        k1 = optimal_cluster_count(100, radio, 100.0, 38.25)
-        k2 = optimal_cluster_count(400, radio, 100.0, 38.25)
-        assert k2 == pytest.approx(2.0 * k1, rel=1e-12)
-
-    def test_expected_distance_linear_in_width(self):
-        assert expected_d_to_bs(200.0) == pytest.approx(76.5, abs=1e-12)
-
-    def test_analytic_p_opt_is_reference_only(self):
-        # far outside (0,1) under the default constants; kept as documentation
-        value = analytic_p_opt(100, RadioParams())
-        assert value == pytest.approx(457.38, abs=0.05)
-        assert value > 1.0
-
-    def test_analytic_p_opt_ratio_collapse(self):
-        radio = RadioParams(eps_fs=3e-12, eps_mp=3e-12)
-        assert analytic_p_opt(100, radio) == pytest.approx(
-            (1.0 / 0.765) * math.sqrt(100 / (2 * math.pi)), rel=1e-12
-        )

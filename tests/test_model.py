@@ -128,7 +128,6 @@ class TestDeploy:
             assert node.initial_energy == by_tier[node.tier]
             assert node.residual_energy == node.initial_energy
             assert node.alive
-            assert node.last_elected_round is None
 
     def test_total_energy_default_config(self):
         # 80*0.5 + 10*1.5 + 10*2.0

@@ -223,7 +223,6 @@ class TestElectHeads:
         assert heads  # seed chosen so the round elects someone
         for head_id in heads:
             assert not state.is_eligible(nodes[head_id], 1)
-            assert nodes[head_id].last_elected_round == 0
 
 
 class TestFormClusters:
@@ -358,6 +357,4 @@ class TestProtocolDegeneracies:
                 elect_heads(protocol, nodes, r, probs, P_OPT, state, 40.0, rng)
                 for r in range(30)
             ]
-            for node in nodes:
-                node.last_elected_round = None
         assert results[ProtocolKind.SEP] == results[ProtocolKind.DBCP]
