@@ -6,79 +6,79 @@ Subcommands:
     sweep    repeat compare while varying one heterogeneity parameter
 
 Configuration is a flat JSON object; every value can also be set (or
-overridden) by a flag of the same name.  The fully resolved config is echoed
-into each output directory as config.json and re-running from that file
-reproduces the outputs byte for byte.
+overridden) by a flag of the same name.  Its keys, defaults, type checks and
+flags all come from SCHEMA, which is read off the SimConfig dataclass fields.
+The fully resolved config is echoed into each output directory as
+config.json and re-running from that file reproduces the outputs byte for
+byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from . import election, engine, report
-from .model import (
-    HeterogeneityParams,
-    ProtocolKind,
-    RadioParams,
-    SimConfig,
-    tier_counts,
-)
+from .model import ProtocolKind, SimConfig, tier_counts
 from .radio import crossover_distance
 
-CONFIG_KEYS = [
-    "n",
-    "field_width",
-    "field_height",
-    "bs_x",
-    "bs_y",
-    "p_opt",
-    "packet_bits",
-    "e_elec",
-    "eps_fs",
-    "eps_mp",
-    "e_da",
-    "d0_override",
-    "m",
-    "m0",
-    "a",
-    "b",
-    "e0",
-    "protocol",
-    "seed",
-    "max_rounds",
-]
 
-DEFAULTS = {
-    "n": 100,
-    "field_width": 100.0,
-    "field_height": 100.0,
-    "bs_x": None,  # None -> field centre
-    "bs_y": None,
-    "p_opt": 0.1,
-    "packet_bits": 4000,
-    "e_elec": 5e-9,
-    "eps_fs": 10e-12,
-    "eps_mp": 0.0013e-12,
-    "e_da": 5e-9,
-    "d0_override": None,
-    "m": 0.2,
-    "m0": 0.1,
-    "a": 2.0,
-    "b": 3.0,
-    "e0": 0.5,
-    "protocol": "dbcp",
-    "seed": 1,
-    "max_rounds": 10000,
-}
+@dataclass(frozen=True)
+class ConfigKey:
+    """One key of the flat config: the SimConfig field it sets (directly, or
+    inside the `group` sub-dataclass), its value type, whether None is
+    allowed, and its default."""
 
-_INT_KEYS = {"n", "packet_bits", "seed", "max_rounds"}
+    name: str
+    group: str | None
+    type: type
+    optional: bool
+    default: object
+
+
+_FIELD_TYPES = get_type_hints(SimConfig)
+
+
+def _config_key(name: str, group: str | None, hint: object, default: object) -> ConfigKey:
+    args = get_args(hint)  # (float, NoneType) for `float | None`, () for a plain type
+    if type(None) in args:
+        (value_type,) = [a for a in args if a is not type(None)]
+        return ConfigKey(name, group, value_type, True, default)
+    return ConfigKey(name, group, hint, False, default)
+
+
+def _schema() -> list[ConfigKey]:
+    """The flat config surface, read off the SimConfig fields in order, with
+    the fields of its dataclass-valued fields (radio, hetero) spliced in at
+    their position and their defaults taken from SimConfig's default."""
+    keys = []
+    for f in fields(SimConfig):
+        hint = _FIELD_TYPES[f.name]
+        if is_dataclass(hint):
+            sub_hints = get_type_hints(hint)
+            default = f.default_factory()
+            keys += [
+                _config_key(g.name, f.name, sub_hints[g.name], getattr(default, g.name))
+                for g in fields(hint)
+            ]
+        else:
+            keys.append(_config_key(f.name, None, hint, f.default))
+    return keys
+
+
+SCHEMA = _schema()
+CONFIG_KEYS = [key.name for key in SCHEMA]
+DEFAULTS = {key.name: key.default for key in SCHEMA}
+
+# only `run` takes these; compare and sweep pair every protocol over a seed range
+PER_RUN_KEYS = ("protocol", "seed")
 
 PROTOCOL_ORDER = [ProtocolKind.LEACH, ProtocolKind.SEP, ProtocolKind.DBCP]
 
@@ -109,80 +109,51 @@ def parse_config(path: str | os.PathLike | None, overrides: dict | None = None) 
     return _build_config(values)
 
 
-def _build_config(values: dict) -> SimConfig:
-    for key in _INT_KEYS:
-        v = values[key]
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"{key} must be an integer, got {v!r}")
-    protocol = values["protocol"]
-    if isinstance(protocol, ProtocolKind):
-        pass
-    else:
+def _coerce(key: ConfigKey, value: object) -> object:
+    """`value` checked against the key's type and converted to it."""
+    if value is None and key.optional:
+        return None
+    if key.type is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ValueError(f"{key.name} must be an integer, got {value!r}")
+    if issubclass(key.type, Enum):
+        if isinstance(value, key.type):
+            return value
         try:
-            protocol = ProtocolKind(str(protocol).lower())
+            return key.type(str(value).lower())
         except ValueError:
-            names = "|".join(p.value for p in ProtocolKind)
-            raise ValueError(f"protocol must be one of {names}, got {protocol!r}") from None
-    for key in ("field_width", "field_height", "p_opt", "m", "m0", "a", "b", "e0",
-                "e_elec", "eps_fs", "eps_mp", "e_da"):
-        v = values[key]
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise ValueError(f"{key} must be a finite number, got {v!r}")
-    radio = RadioParams(
-        e_elec=float(values["e_elec"]),
-        eps_fs=float(values["eps_fs"]),
-        eps_mp=float(values["eps_mp"]),
-        e_da=float(values["e_da"]),
-        d0_override=None if values["d0_override"] is None else float(values["d0_override"]),
-    )
-    hetero = HeterogeneityParams(
-        m=float(values["m"]),
-        m0=float(values["m0"]),
-        a=float(values["a"]),
-        b=float(values["b"]),
-        e0=float(values["e0"]),
-    )
-    return SimConfig(
-        n=values["n"],
-        field_width=float(values["field_width"]),
-        field_height=float(values["field_height"]),
-        bs_x=None if values["bs_x"] is None else float(values["bs_x"]),
-        bs_y=None if values["bs_y"] is None else float(values["bs_y"]),
-        p_opt=float(values["p_opt"]),
-        packet_bits=values["packet_bits"],
-        radio=radio,
-        hetero=hetero,
-        protocol=protocol,
-        seed=values["seed"],
-        max_rounds=values["max_rounds"],
-    )
+            names = "|".join(e.value for e in key.type)
+            raise ValueError(f"{key.name} must be one of {names}, got {value!r}") from None
+    if (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max  # false for NaN, inf and ints past float range
+    ):
+        return float(value)
+    raise ValueError(f"{key.name} must be a finite number, got {value!r}")
+
+
+def _build_config(values: dict) -> SimConfig:
+    kwargs: dict = {}
+    groups: dict[str, dict] = {}
+    for key in SCHEMA:
+        target = kwargs if key.group is None else groups.setdefault(key.group, {})
+        target[key.name] = _coerce(key, values[key.name])
+    for group, group_kwargs in groups.items():
+        kwargs[group] = _FIELD_TYPES[group](**group_kwargs)
+    return SimConfig(**kwargs)
 
 
 def config_to_dict(config: SimConfig) -> dict:
     """Flat, fully resolved mapping; parse_config(the JSON dump) rebuilds an
     identical SimConfig."""
-    return {
-        "n": config.n,
-        "field_width": config.field_width,
-        "field_height": config.field_height,
-        "bs_x": config.bs_x,
-        "bs_y": config.bs_y,
-        "p_opt": config.p_opt,
-        "packet_bits": config.packet_bits,
-        "e_elec": config.radio.e_elec,
-        "eps_fs": config.radio.eps_fs,
-        "eps_mp": config.radio.eps_mp,
-        "e_da": config.radio.e_da,
-        "d0_override": config.radio.d0_override,
-        "m": config.hetero.m,
-        "m0": config.hetero.m0,
-        "a": config.hetero.a,
-        "b": config.hetero.b,
-        "e0": config.hetero.e0,
-        "protocol": config.protocol.value,
-        "seed": config.seed,
-        "max_rounds": config.max_rounds,
-    }
+    out = {}
+    for key in SCHEMA:
+        owner = config if key.group is None else getattr(config, key.group)
+        value = getattr(owner, key.name)
+        out[key.name] = value.value if isinstance(value, Enum) else value
+    return out
 
 
 def derived_values(config: SimConfig) -> dict:
@@ -240,10 +211,21 @@ def _parse_seed_range(text: str) -> list[int]:
 
 
 def _parse_values(text: str) -> list[float]:
+    """Sweep values.  Each point directory is named after its value's `:g`
+    form, so an empty list, or two values sharing that form, is rejected."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad --values list {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"no values in {text!r}")
+    labels = [f"{v:g}" for v in values]
+    clashing = sorted({label for label in labels if labels.count(label) > 1})
+    if clashing:
+        raise argparse.ArgumentTypeError(
+            f"values collide in the point directory name: {', '.join(clashing)}"
+        )
+    return values
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
@@ -259,29 +241,14 @@ def _add_config_flags(parser: argparse.ArgumentParser, with_seed: bool) -> None:
     parser.add_argument("--config", metavar="PATH", help="flat JSON config file")
     parser.add_argument("--out", metavar="DIR", required=True, help="output directory")
     g = parser.add_argument_group("config overrides")
-    g.add_argument("--n", type=int)
-    g.add_argument("--field-width", dest="field_width", type=float)
-    g.add_argument("--field-height", dest="field_height", type=float)
-    g.add_argument("--bs-x", dest="bs_x", type=float)
-    g.add_argument("--bs-y", dest="bs_y", type=float)
-    g.add_argument("--p-opt", dest="p_opt", type=float)
-    g.add_argument("--packet-bits", dest="packet_bits", type=int)
-    g.add_argument("--e-elec", dest="e_elec", type=float)
-    g.add_argument("--eps-fs", dest="eps_fs", type=float)
-    g.add_argument("--eps-mp", dest="eps_mp", type=float)
-    g.add_argument("--e-da", dest="e_da", type=float)
-    g.add_argument("--d0-override", dest="d0_override", type=float)
-    g.add_argument("--m", type=float)
-    g.add_argument("--m0", type=float)
-    g.add_argument("--a", type=float)
-    g.add_argument("--b", type=float)
-    g.add_argument("--e0", type=float)
-    g.add_argument("--max-rounds", dest="max_rounds", type=int)
-    if with_seed:
-        g.add_argument("--seed", type=int)
-        g.add_argument(
-            "--protocol", choices=[p.value for p in ProtocolKind], help="protocol to run"
-        )
+    for key in SCHEMA:
+        if key.name in PER_RUN_KEYS and not with_seed:
+            continue
+        flag = "--" + key.name.replace("_", "-")
+        if issubclass(key.type, Enum):
+            g.add_argument(flag, dest=key.name, choices=[e.value for e in key.type])
+        else:
+            g.add_argument(flag, dest=key.name, type=key.type)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,12 +7,12 @@ live in the acceptance tests.
 
 import csv
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from wsnsim import cli
 from wsnsim.cli import config_to_dict, derived_values, main, parse_config
 from wsnsim.model import ProtocolKind, SimConfig
 
@@ -87,6 +87,14 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="n "):
             parse_config(path)
 
+    @pytest.mark.parametrize("key", ["bs_x", "bs_y", "d0_override", "e0"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, [1], "1", 10**400])
+    def test_float_keys_need_finite_numbers(self, key, value):
+        # None (the default of the first three) stays allowed; nothing else
+        # but a finite number does
+        with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+            parse_config(None, {key: value})
+
     def test_echoed_dict_round_trips(self, tmp_path):
         config = parse_config(None, {"n": 33, "seed": 12, "protocol": "leach", "m": 0.3})
         path = tmp_path / "echo.json"
@@ -138,6 +146,13 @@ class TestRunCommand:
         code = main(["run", "--out", str(tmp_path / "x"), "--m0", "0.5", "--m", "0.2"])
         assert code == 2
         assert "m0" in capsys.readouterr().err
+
+    def test_non_finite_flag_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["run", "--out", str(out), "--bs-x", "nan"])
+        assert code == 2
+        assert "error: bs_x" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_prints_summary_line(self, tmp_path, capsys):
         main(["run", "--out", str(tmp_path / "out"), "--n", "10", "--max-rounds", "20"])
@@ -264,6 +279,18 @@ class TestSweepCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize("values", ["0.1234567,0.12345678", "0.1,0.1", ","])
+    def test_colliding_or_empty_values_rejected(self, tmp_path, capsys, values):
+        """Each point directory is named after the value's :g form; values
+        that share one would overwrite each other's files."""
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--param", "m", "--values", values, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestArgumentParsing:
     def test_seed_range_requires_dots(self):
         with pytest.raises(SystemExit):
@@ -294,7 +321,20 @@ def test_module_entry_point(tmp_path):
     assert (out / "summary.csv").exists()
 
 
-def test_config_keys_match_simconfig_surface():
-    # every documented key is consumed; none invented
-    config = parse_config(None)
-    assert sorted(config_to_dict(config)) == sorted(cli.CONFIG_KEYS)
+CONFIG_FLAGS = [
+    "--n", "--field-width", "--field-height", "--bs-x", "--bs-y", "--p-opt",
+    "--packet-bits", "--e-elec", "--eps-fs", "--eps-mp", "--e-da", "--d0-override",
+    "--m", "--m0", "--a", "--b", "--e0", "--max-rounds",
+]
+
+
+@pytest.mark.parametrize(
+    "command, per_run", [("run", ["--protocol", "--seed"]), ("compare", []), ("sweep", [])],
+    ids=["run", "compare", "sweep"],
+)
+def test_help_lists_exactly_the_schema_flags(command, per_run, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    section = capsys.readouterr().out.split("config overrides:\n")[1].split("\n\n")[0]
+    flags = re.findall(r"^ {2}(--[\w-]+)", section, re.M)
+    assert sorted(flags) == sorted(CONFIG_FLAGS + per_run)
