@@ -90,8 +90,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("key", ["bs_x", "bs_y", "d0_override", "e0"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, [1], "1", 10**400])
     def test_float_keys_need_finite_numbers(self, key, value):
-        # None (the default of the first three) stays allowed; nothing else
-        # but a finite number does
+        # bs_x, bs_y and d0_override also accept None, their default
         with pytest.raises(ValueError, match=f"{key} must be a finite number"):
             parse_config(None, {key: value})
 
@@ -277,7 +276,6 @@ class TestSweepCommand:
              "--n", "10", "--max-rounds", "10", "--seeds", "1..1", "--workers", "1"]
         )
         assert code == 2
-
 
     @pytest.mark.parametrize("values", ["0.1234567,0.12345678", "0.1,0.1", ","])
     def test_colliding_or_empty_values_rejected(self, tmp_path, capsys, values):
