@@ -14,6 +14,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .election import (
     EligibilityState,
@@ -80,6 +81,7 @@ class EngineState:
     """Mutable state owned by a single run."""
 
     nodes_by_id: dict[int, Node]
+    tx: Callable[[float], float]
     bs_cost: dict[int, float]
     geometry: FieldGeometry
     probs: TierProbabilities
@@ -112,22 +114,20 @@ def transmission_costs(
     nodes_by_id: dict[int, Node],
     radio: RadioParams,
     bits: int,
-    bs_cost: dict[int, float] | None = None,
+    tx: Callable[[float], float],
+    bs_cost: dict[int, float],
 ) -> RoundTransmissions:
     """Energy cost of one round's traffic, keyed by node id.
 
     Members pay one transmission to their head; heads pay reception per
     member, aggregation over members+1 signals, and one transmission to the
     base station; unclustered nodes pay one transmission to the base station.
-    `bs_cost` maps node id to its (static) transmit cost to the base station;
-    initial_state builds it once per run, and when it is omitted it is
-    computed here from nodes_by_id.
+    `tx` is the run's transmit rule, radio.tx_energy_fn(radio, bits), and
+    `bs_cost` maps node id to its static transmit cost to the base station;
+    initial_state builds both once per run.
     Costs are inserted cluster by cluster, members before their head, then
     the unclustered nodes; the dissipation ledger sums them in that order.
     """
-    tx = tx_energy_fn(radio, bits)
-    if bs_cost is None:
-        bs_cost = {nid: tx(node.distance_to_bs) for nid, node in nodes_by_id.items()}
     rx = rx_energy(radio, bits)
     costs: dict[int, float] = {}
     packets = 0
@@ -186,7 +186,12 @@ def simulate_round(
     )
     assignment = form_clusters(state.alive_nodes, heads, state.geometry)
     tr = transmission_costs(
-        assignment, state.nodes_by_id, config.radio, config.packet_bits, state.bs_cost
+        assignment,
+        state.nodes_by_id,
+        config.radio,
+        config.packet_bits,
+        state.tx,
+        state.bs_cost,
     )
 
     by_id = state.nodes_by_id
@@ -234,8 +239,8 @@ def simulate_round(
 
 def initial_state(config: SimConfig, nodes: list[Node]) -> EngineState:
     """Engine state for a fresh deployment; distance average, tier
-    probabilities and base-station transmit costs are fixed here and never
-    recomputed."""
+    probabilities, the transmit rule and base-station transmit costs are
+    fixed here and never recomputed."""
     probs = weighted_probabilities(config.p_opt, config.hetero)
     by_tier = {tier: 0 for tier in NodeTier}
     for node in nodes:
@@ -243,6 +248,7 @@ def initial_state(config: SimConfig, nodes: list[Node]) -> EngineState:
     tx = tx_energy_fn(config.radio, config.packet_bits)
     return EngineState(
         nodes_by_id={node.id: node for node in nodes},
+        tx=tx,
         bs_cost={node.id: tx(node.distance_to_bs) for node in nodes},
         geometry=FieldGeometry(nodes),
         probs=probs,

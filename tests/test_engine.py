@@ -43,13 +43,23 @@ def homogeneous(e0=0.5):
     return HeterogeneityParams(m=0.0, m0=0.0, a=0.0, b=0.0, e0=e0)
 
 
+def costs_for(assignment, nodes_by_id, radio, bits):
+    """transmission_costs priced with the transmit rule and base-station
+    table that initial_state builds for a run over these nodes."""
+    config = SimConfig(n=len(nodes_by_id), radio=radio, packet_bits=bits)
+    state = initial_state(config, list(nodes_by_id.values()))
+    return transmission_costs(
+        assignment, state.nodes_by_id, radio, bits, state.tx, state.bs_cost
+    )
+
+
 class TestTransmissionCosts:
     def test_two_node_cluster_hand_values(self):
         head = make_node(0, 50.0, 80.0)    # 30 m from the base station
         member = make_node(1, 50.0, 100.0)  # 20 m from the head
         nodes_by_id = {0: head, 1: member}
         assignment = ClusterAssignment(clusters=[Cluster(0, [1])], unclustered=[])
-        tr = transmission_costs(assignment, nodes_by_id, RadioParams(), 4000)
+        tr = costs_for(assignment, nodes_by_id, RadioParams(), 4000)
         assert tr.costs[1] == pytest.approx(3.6e-5, abs=1e-12)
         assert tr.costs[0] == pytest.approx(1.16e-4, abs=1e-12)
         assert tr.packets == 1
@@ -61,7 +71,7 @@ class TestTransmissionCosts:
         nodes = {i: make_node(i, 50.0 + 10.0 * i, 50.0) for i in range(3)}
         assignment = ClusterAssignment(clusters=[], unclustered=[0, 1, 2])
         radio = RadioParams()
-        tr = transmission_costs(assignment, nodes, radio, 4000)
+        tr = costs_for(assignment, nodes, radio, 4000)
         assert tr.packets == 3
         for i in range(3):
             assert tr.costs[i] == tx_energy(radio, 4000, nodes[i].distance_to_bs)
@@ -70,7 +80,7 @@ class TestTransmissionCosts:
         head = make_node(0, 50.0, 60.0)
         assignment = ClusterAssignment(clusters=[Cluster(0, [])], unclustered=[])
         radio = RadioParams()
-        tr = transmission_costs(assignment, {0: head}, radio, 4000)
+        tr = costs_for(assignment, {0: head}, radio, 4000)
         # aggregation still covers the head's own signal
         expected = aggregation_energy(radio, 4000, 1) + tx_energy(radio, 4000, 10.0)
         assert tr.costs[0] == pytest.approx(expected, rel=1e-12)
@@ -93,7 +103,7 @@ class TestTransmissionCosts:
         member = make_node(1, mx, my)
         nodes_by_id = {0: head, 1: member}
         assignment = ClusterAssignment(clusters=[Cluster(0, [1])], unclustered=[])
-        tr = transmission_costs(assignment, nodes_by_id, radio, bits)
+        tr = costs_for(assignment, nodes_by_id, radio, bits)
         d = math.hypot(mx - hx, my - hy)
         assert tr.costs[1] == tx_energy(radio, bits, d)
         assert tr.costs[0] == (
@@ -110,7 +120,7 @@ class TestTransmissionCosts:
         radio = RadioParams()
         node = make_node(0, 50.0 + d_bs, 50.0)
         assignment = ClusterAssignment(clusters=[], unclustered=[0])
-        tr = transmission_costs(assignment, {0: node}, radio, 4000)
+        tr = costs_for(assignment, {0: node}, radio, 4000)
         assert tr.costs[0] == tx_energy(radio, 4000, node.distance_to_bs)
 
 
