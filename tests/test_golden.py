@@ -1,9 +1,12 @@
-"""Golden output digests: the SHA-256 of every file the CLI writes for four
-fixed runs, pinned before the engine, radio and config code were refactored.
+"""Golden output digests: the SHA-256 of every file the CLI writes for five
+fixed runs, pinned before the engine, radio, config and cluster-formation
+code were refactored.
 
 A change that alters a single output byte fails here.  The cases cover
   defaults     the default config, two paired seeds, a short round cap;
   n1000        n=1000 for five rounds (about 100 heads per round);
+  n10000       n=10000 for three rounds (about 1000 heads per round), large
+               enough that form_clusters takes its cell-grid path;
   zero_heads   n=10, where most rounds elect no head and every alive node
                sends straight to the base station;
   sweep_e0     a sweep at e0=0.05, where every network dies before the cap,
@@ -20,6 +23,7 @@ from wsnsim.cli import main
 CASES = {
     "defaults": ["compare", "--seeds", "1..2", "--max-rounds", "1000"],
     "n1000": ["compare", "--seeds", "1..2", "--n", "1000", "--max-rounds", "5"],
+    "n10000": ["compare", "--seeds", "1..1", "--n", "10000", "--max-rounds", "3"],
     "zero_heads": ["compare", "--seeds", "1..2", "--n", "10", "--max-rounds", "300"],
     "sweep_e0": ["sweep", "--param", "m", "--values", "0.1,0.3", "--e0", "0.05",
                  "--n", "30", "--seeds", "1..2"],
@@ -51,6 +55,16 @@ GOLDEN = {
         "series_sep_seed1.csv": "e38da97dc2d39728b03a7b3672f100d1625ced0b645b79abe00b3c83edf2041e",
         "series_sep_seed2.csv": "e1eb616871c76959ed41a2e0b87cd30feb50759fa8f8d249942966707b7b9d73",
         "summary.csv": "8e5ae5d476f20c9263c6162055ddce04c9c46c7f23e89f0396a8601ff6096523",
+    },
+    "n10000": {
+        "comparison.csv": "6400341783e32ac38a0bda1e378ea928783d2b587cce2e6a47a7da95f43caf24",
+        "config.json": "a9b3d4a3f6b8eac7a18c5da3b9de5967ecaf7e1b1852ae93ccfc7bac4f5bf8de",
+        "derived.json": "5ad5f17ce9327444fbe721201b9623e7b005439541f6d9b591aa91dd28e1e18f",
+        "mean_curves.csv": "7d81c7b3d1187de7b4e50fed255b59f9c8d53903af394da5ed2acf15aca3b3b0",
+        "series_dbcp_seed1.csv": "d6e0773265b72153f7c190727d9cd1cc71bd9119b69eaa627473ddf562679770",
+        "series_leach_seed1.csv": "3671ba8afb0af47383bab408c530a65094848886b0000e27982e4c2646c2f03a",
+        "series_sep_seed1.csv": "e4d7220387d2401f6d9edcb9bf786f7a8fb4a80393461c0ccb0d1a411cf50b94",
+        "summary.csv": "9967544ea2c603cfdab855131eaadd4172ceb21a903766d3c88d44622999b2c2",
     },
     "zero_heads": {
         "comparison.csv": "8e7628d8b6b9c1b32db37dcfd319407a3bc4e54b0d2ca1e74a2c0255e406e6db",
