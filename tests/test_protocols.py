@@ -7,8 +7,9 @@ the two must agree draw for draw.
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wsnsim.election import (
     EligibilityState,
@@ -24,8 +25,11 @@ from wsnsim.model import (
     SimConfig,
     deploy,
 )
+from wsnsim import protocols
 from wsnsim.protocols import (
     FieldGeometry,
+    _nearest_dense,
+    _nearest_grid,
     elect_heads,
     eligibility_for,
     form_clusters,
@@ -324,6 +328,75 @@ class TestFormClusters:
                         member.y - head_pos[other][1]
                     ) ** 2
                     assert d_own <= d_other
+
+
+@st.composite
+def head_member_layouts(draw):
+    """(mx, my, hx, hy) for the nearest-head search.  Heads sit on a small
+    integer lattice (many exact ties), are stacked a few to a point, lie on
+    one vertical line (a zero-width bounding box), or are real-valued;
+    members come from a wider range, so some lie outside the heads' box."""
+    shape = draw(st.sampled_from(["lattice", "coincident", "vertical", "real"]))
+    n_heads = draw(st.integers(min_value=1, max_value=30))
+    n_members = draw(st.integers(min_value=1, max_value=60))
+
+    def coords(values, size):
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=float)
+
+    if shape == "real":
+        head = st.floats(min_value=0.0, max_value=100.0)
+        member = st.floats(min_value=-50.0, max_value=150.0)
+    else:
+        head = st.integers(min_value=0, max_value=6)
+        member = st.integers(min_value=-3, max_value=9)
+    hx, hy = coords(head, n_heads), coords(head, n_heads)
+    if shape == "coincident":
+        picks = draw(st.lists(st.integers(0, n_heads - 1), min_size=n_heads, max_size=n_heads))
+        hx, hy = hx[picks], hy[picks]
+    elif shape == "vertical":
+        hx = np.full(n_heads, hx[0])
+    return coords(member, n_members), coords(member, n_members), hx, hy
+
+
+class TestNearestHeadSearch:
+    """_nearest_grid must return _nearest_dense's indices exactly, ties
+    included, at any size; form_clusters picks between them by pair count."""
+
+    @given(head_member_layouts())
+    @example(  # an outside head exactly at the bound ties the block's best
+        (np.array([6.0, 0.0]), np.array([2.0, 6.0]),
+         np.array([3.0, 6.0, 3.0, 5.0, 4.0, 3.0]), np.array([5.0, 5.0, 2.0, 6.0, 5.0, 0.0]))
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_grid_matches_dense(self, layout):
+        mx, my, hx, hy = layout
+        assert _nearest_grid(mx, my, hx, hy).tolist() == _nearest_dense(mx, my, hx, hy).tolist()
+
+    def test_empty_blocks_fall_back_to_dense(self, monkeypatch):
+        """Heads in two knots at opposite corners leave the middle of their
+        box without heads: members there have an empty 3x3 block and are
+        re-scored by the dense kernel; members inside the knots are not."""
+        rng = np.random.default_rng(3)
+        hx, hy = np.concatenate([rng.uniform(0, 5, (2, 20)), rng.uniform(95, 100, (2, 20))], axis=1)
+        mx, my = np.concatenate([rng.uniform(0, 5, (2, 30)), rng.uniform(40, 60, (2, 7))], axis=1)
+        expected = _nearest_dense(mx, my, hx, hy)
+        rescored = []
+
+        def spy(*args):
+            rescored.append(len(args[0]))
+            return _nearest_dense(*args)
+
+        monkeypatch.setattr(protocols, "_nearest_dense", spy)
+        assert _nearest_grid(mx, my, hx, hy).tolist() == expected.tolist()
+        assert rescored == [7]
+
+    def test_form_clusters_same_on_either_path(self, monkeypatch):
+        nodes, _ = deployed_network(n=2000, seed=4)
+        heads = list(range(0, 2000, 10))
+        monkeypatch.setattr(protocols, "GRID_MIN_PAIRS", float("inf"))
+        dense = form_clusters(nodes, heads)
+        monkeypatch.setattr(protocols, "GRID_MIN_PAIRS", 0)
+        assert form_clusters(nodes, heads) == dense
 
 
 class TestProtocolDegeneracies:
