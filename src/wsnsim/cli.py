@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -184,8 +185,10 @@ def run_batch(configs: list[SimConfig], workers: int | None = None) -> list[engi
     input order; each run owns its rng, so scheduling cannot change outputs."""
     if workers is None:
         workers = os.cpu_count() or 1
-    workers = max(1, min(workers, len(configs)))
-    if workers == 1:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, len(configs))
+    if workers <= 1:
         return [engine.run(c) for c in configs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(engine.run, configs))
@@ -208,6 +211,16 @@ def _parse_seed_range(text: str) -> list[int]:
     if hi_i < lo_i:
         raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
     return list(range(lo_i, hi_i + 1))
+
+
+def _parse_workers(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"--workers expects an integer, got {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"--workers must be at least 1, got {workers}")
+    return workers
 
 
 def _parse_values(text: str) -> list[float]:
@@ -265,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_cmp, with_seed=False)
     p_cmp.add_argument("--seeds", type=_parse_seed_range, default=list(range(1, 11)),
                        help="inclusive seed range a..b (default 1..10)")
-    p_cmp.add_argument("--workers", type=int, default=None,
+    p_cmp.add_argument("--workers", type=_parse_workers, default=None,
                        help="parallel worker processes (default: cpu count)")
 
     p_swp = sub.add_parser("sweep", help="compare repeatedly while varying one parameter")
@@ -274,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--values", type=_parse_values, required=True,
                        help="comma separated parameter values")
     p_swp.add_argument("--seeds", type=_parse_seed_range, default=list(range(1, 11)))
-    p_swp.add_argument("--workers", type=int, default=None)
+    p_swp.add_argument("--workers", type=_parse_workers, default=None)
     return parser
 
 
@@ -385,8 +398,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, BrokenProcessPool) as exc:  # the pool breaks when a worker is killed
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

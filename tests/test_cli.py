@@ -7,13 +7,15 @@ live in the acceptance tests.
 
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
-from wsnsim.cli import config_to_dict, derived_values, main, parse_config
+from wsnsim import engine
+from wsnsim.cli import config_to_dict, derived_values, main, parse_config, run_batch
 from wsnsim.model import ProtocolKind, SimConfig
 
 
@@ -305,6 +307,48 @@ class TestArgumentParsing:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("command", [
+        ["compare"],
+        ["sweep", "--param", "m", "--values", "0.1"],
+    ])
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, command, workers):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--out", str(out), "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_batch_rejects_workers_below_one(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_batch([SimConfig(max_rounds=1)], workers=0)
+
+
+def _exit_abruptly(config):
+    os._exit(3)  # what a worker killed by the OOM killer looks like to the pool
+
+
+def _out_of_memory(config):
+    raise MemoryError
+
+
+class TestWorkerFailures:
+    def test_dead_pool_worker_is_a_clean_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "run", _exit_abruptly)
+        code = main(["compare", "--out", str(tmp_path / "out"), "--seeds", "1..2",
+                     "--max-rounds", "5", "--workers", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_memory_error_is_a_clean_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "run", _out_of_memory)
+        code = main(["compare", "--out", str(tmp_path / "out"), "--seeds", "1..1",
+                     "--max-rounds", "5", "--workers", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_module_entry_point(tmp_path):
