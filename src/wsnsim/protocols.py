@@ -261,12 +261,10 @@ def form_clusters(
         geometry.x[member_rows], geometry.y[member_rows],
         geometry.x[head_rows], geometry.y[head_rows],
     )
-    grouped = [member_ids[i] for i in np.argsort(nearest, kind="stable").tolist()]
-    ends = np.bincount(nearest, minlength=len(head_ids)).cumsum().tolist()
+    cluster_members: list[list[int]] = [[] for _ in head_ids]
+    for mid, k in zip(member_ids, nearest.tolist()):
+        cluster_members[k].append(mid)
     return ClusterAssignment(
-        clusters=[
-            Cluster(h, grouped[lo:hi])
-            for h, lo, hi in zip(head_ids, [0, *ends], ends)
-        ],
+        clusters=[Cluster(h, m) for h, m in zip(head_ids, cluster_members)],
         unclustered=[],
     )
