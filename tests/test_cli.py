@@ -313,7 +313,7 @@ class TestArgumentParsing:
         ["sweep", "--param", "m", "--values", "0.1"],
     ])
     @pytest.mark.parametrize("workers", ["0", "-3", "two"])
-    def test_workers_below_one_rejected(self, tmp_path, capsys, command, workers):
+    def test_workers_must_be_a_positive_integer(self, tmp_path, capsys, command, workers):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main([*command, "--out", str(out), "--workers", workers])
