@@ -2,17 +2,16 @@
 heterogeneous wireless sensor networks."""
 
 from .election import (
-    EligibilityState,
     TierProbabilities,
-    average_distance,
-    dbcp_threshold,
+    distance_factor,
     sep_threshold,
+    threshold,
     weighted_probabilities,
 )
 from .engine import RoundMetrics, RunResult, SummaryMetrics, run
 from .model import (
+    Deployment,
     HeterogeneityParams,
-    Node,
     NodeTier,
     ProtocolKind,
     RadioParams,
@@ -20,32 +19,29 @@ from .model import (
     deploy,
     tier_counts,
 )
-from .protocols import ClusterAssignment, elect_heads, form_clusters, threshold_for
+from .protocols import elect_heads, form_clusters
 from .report import ComparisonResult, aggregate
 
 __all__ = [
-    "EligibilityState",
     "TierProbabilities",
-    "average_distance",
-    "dbcp_threshold",
+    "distance_factor",
     "sep_threshold",
+    "threshold",
     "weighted_probabilities",
     "RoundMetrics",
     "RunResult",
     "SummaryMetrics",
     "run",
+    "Deployment",
     "HeterogeneityParams",
-    "Node",
     "NodeTier",
     "ProtocolKind",
     "RadioParams",
     "SimConfig",
     "deploy",
     "tier_counts",
-    "ClusterAssignment",
     "elect_heads",
     "form_clusters",
-    "threshold_for",
     "aggregate",
     "ComparisonResult",
 ]

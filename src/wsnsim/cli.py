@@ -172,6 +172,9 @@ def derived_values(config: SimConfig) -> dict:
 
 
 def _echo_config(config: SimConfig, out_dir: Path) -> None:
+    """Write config.json and derived.json.  Every command calls this after
+    all other outputs of the directory are written, so a run that fails
+    part way leaves no config echo behind."""
     (out_dir / "config.json").write_text(
         json.dumps(config_to_dict(config), indent=2) + "\n"
     )
@@ -319,7 +322,6 @@ def _run_compare_batch(
 ) -> report.ComparisonResult:
     """Paired comparison of all three protocols over `seeds`, writing the full
     file set into out_dir."""
-    _echo_config(base, out_dir)
     configs = [
         replace(base, protocol=proto, seed=seed)
         for proto in PROTOCOL_ORDER
@@ -332,16 +334,17 @@ def _run_compare_batch(
     comparison = report.aggregate(results)
     report.write_mean_curves(comparison, out_dir / "mean_curves.csv")
     report.write_comparison(comparison, out_dir / "comparison.csv")
+    _echo_config(base, out_dir)
     return comparison
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config, _collect_overrides(args))
     out_dir = _prepare_out(args.out)
-    _echo_config(config, out_dir)
     result = engine.run(config)
     report.write_series(result.series, out_dir / _series_name(config))
     report.write_summary([result], out_dir / "summary.csv")
+    _echo_config(config, out_dir)
     s = result.summary
     print(
         f"{config.protocol.value} seed={config.seed}: "
@@ -374,10 +377,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for value in args.values
     ]
     out_dir = _prepare_out(args.out)
-    try:
-        _echo_config(parse_config(args.config, overrides), out_dir)
-    except ValueError:
-        pass  # base never runs as-is; each point directory echoes its own
     entries = []
     for value, sub_base in points:
         sub_dir = out_dir / f"{args.param}_{value:g}"
@@ -387,6 +386,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"--- {args.param} = {value:g} ---")
         _print_mean_table(comparison)
     report.write_sweep(entries, out_dir / "sweep.csv")
+    try:
+        _echo_config(parse_config(args.config, overrides), out_dir)
+    except ValueError:
+        pass  # base never runs as-is; each point directory echoes its own
     return 0
 
 

@@ -1,5 +1,5 @@
 """Cluster-head election math: tier probabilities, rotating-epoch thresholds,
-and the distance-scaled threshold variant.
+and the distance factor of the dbcp variant.
 
 Thresholds follow the rotating-eligibility scheme: each node may serve once
 per epoch of ceil(1/p) rounds, with the per-round threshold ramping up to 1
@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
-from .model import HeterogeneityParams, Node, NodeTier
+import numpy as np
+
+from .model import HeterogeneityParams, NodeTier
 
 
 @dataclass(frozen=True)
@@ -70,65 +71,32 @@ def epoch_length(p: float) -> int:
     return math.ceil(_inverse_rate(p))
 
 
-def sep_threshold(p: float, r: int, eligible: bool) -> float:
-    """Rotating election threshold p / (1 - p*(r mod epoch)), clamped to [0, 1].
+def sep_threshold(p: float, r: int) -> float:
+    """Rotating election threshold p / (1 - p*(r mod epoch)), clamped to 1.
 
     Evaluated as 1 / (1/p - (r mod epoch)), which is the same expression with
     one division fewer and is exact (== 1.0) at the end of an epoch whenever
-    1/p is integral.  Ineligible nodes get 0.
+    1/p is integral.
     """
-    if not eligible:
-        return 0.0
     inv = _inverse_rate(p)
-    pos = r % math.ceil(inv)
-    return min(1.0, 1.0 / (inv - pos))
+    return min(1.0, 1.0 / (inv - r % math.ceil(inv)))
 
 
-def dbcp_threshold(
-    p: float, r: int, eligible: bool, d_i: float, d_avg: float
-) -> float:
-    """Distance-scaled variant: nodes nearer the base station than the
-    deployment average get their threshold shrunk by (1 - d_i/d_avg);
-    nodes at or beyond the average keep the unscaled threshold."""
-    base = sep_threshold(p, r, eligible)
-    if d_i < d_avg:
-        return base * (1.0 - d_i / d_avg)
-    return base
+def distance_factor(d, d_avg: float):
+    """The dbcp scaling, elementwise over floats or arrays: nodes nearer the
+    base station than the deployment average d_avg get 1 - d/d_avg, nodes at
+    or beyond it keep 1."""
+    d = np.asarray(d, dtype=float)
+    # d_avg = 0 (every node on the base station) leaves no node nearer
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(d < d_avg, 1.0 - d / d_avg, 1.0)[()]
 
 
-class EligibilityState:
-    """Per-node once-per-epoch eligibility bookkeeping.
-
-    A node elected in round r stays ineligible for the rest of the epoch
-    containing r (epochs are aligned blocks of epoch_length(p_tier) rounds)
-    and regains eligibility when the epoch wraps.
+def threshold(tier_thresholds, tier, factor, eligible) -> np.ndarray:
+    """The election threshold rule, for many nodes at once: the rotating
+    threshold of each node's tier (`tier_thresholds`, one sep_threshold per
+    tier for the round), times the node's distance factor, or 0 for a node
+    not eligible.  `tier`, `factor` and `eligible` hold one entry per node;
+    leach and sep use factor 1, so the product is the tier threshold itself.
     """
-
-    def __init__(self, epochs: Mapping[NodeTier, int]):
-        self.epochs = dict(epochs)
-        # node id -> first round of renewed eligibility (missing = always eligible)
-        self.eligible_from: dict[int, int] = {}
-
-    def is_eligible(self, node: Node, r: int) -> bool:
-        return r >= self.eligible_from.get(node.id, 0)
-
-    def mark_elected(self, node: Node, r: int) -> None:
-        e = self.epochs[node.tier]
-        self.eligible_from[node.id] = (r // e + 1) * e
-
-    def reset(self) -> None:
-        self.eligible_from.clear()
-
-
-def average_distance(nodes: Iterable[Node]) -> float:
-    """Mean node-to-base-station distance over the deployment (all nodes,
-    computed once at deployment time and never updated as nodes die)."""
-    total = 0.0
-    count = 0
-    for node in nodes:
-        total += node.distance_to_bs
-        count += 1
-    if count == 0:
-        raise ValueError("average_distance needs at least one node")
-    return total / count
-
+    return np.where(eligible, np.asarray(tier_thresholds)[tier] * factor, 0.0)

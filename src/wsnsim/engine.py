@@ -14,23 +14,14 @@ import logging
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import NamedTuple
 
-from .election import (
-    EligibilityState,
-    TierProbabilities,
-    average_distance,
-    weighted_probabilities,
-)
-from .model import Node, NodeTier, ProtocolKind, RadioParams, SimConfig, deploy
-from .protocols import (
-    ClusterAssignment,
-    FieldGeometry,
-    elect_heads,
-    eligibility_for,
-    form_clusters,
-)
-from .radio import aggregation_energy, rx_energy, tx_energy_fn
+import numpy as np
+
+from .election import epoch_length, weighted_probabilities
+from .model import Deployment, NodeTier, RadioParams, SimConfig, deploy
+from .protocols import elect_heads, election_rule, form_clusters
+from .radio import aggregation_energy, rx_energy, tx_energy
 
 logger = logging.getLogger(__name__)
 
@@ -64,37 +55,49 @@ class SummaryMetrics:
 
 
 @dataclass
-class RoundTransmissions:
-    """Pure outcome of one round's transmissions: per-node energy costs,
-    packets reaching the base station, and distance diagnostics."""
-
-    costs: dict[int, float]
-    packets: int
-    member_distance_sum: float
-    member_count: int
-    head_distance_sum: float
-    head_count: int
-
-
-@dataclass
 class EngineState:
-    """Mutable state owned by a single run."""
+    """The node table of one run, every array indexed by node id, and the
+    run's running totals.
 
-    nodes_by_id: dict[int, Node]
-    tx: Callable[[float], float]
-    bs_cost: dict[int, float]
-    geometry: FieldGeometry
-    probs: TierProbabilities
-    eligibility: EligibilityState
+    `alive` holds the ids of the alive nodes in ascending order.  A node may
+    be elected again from round `eligible_from[i]` on.  `rate` and `epoch`
+    hold the election rate and eligibility epoch of each tier (NodeTier
+    order); `factor` is each node's dbcp distance factor, 1 under leach and
+    sep; `bs_cost` is each node's transmit cost to the base station.  All
+    but `energy`, `alive`, `eligible_from` and the totals are fixed at
+    initial_state.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    d_bs: np.ndarray
+    tier: np.ndarray
+    energy: np.ndarray
+    alive: np.ndarray
+    eligible_from: np.ndarray
+    bs_cost: np.ndarray
+    rate: tuple[float, ...]
+    epoch: np.ndarray
+    factor: np.ndarray
     d_avg: float
-    alive_nodes: list[Node]
-    alive_by_tier: dict[NodeTier, int]
+    alive_by_tier: list[int]
     packets_cum: int = 0
     energy_dissipated: float = 0.0
     member_distance_sum: float = 0.0
     member_count: int = 0
     head_distance_sum: float = 0.0
     head_count_total: int = 0
+
+
+class Ledger(NamedTuple):
+    """One round's energy charges in the order the ledger adds them: cluster
+    by cluster (ascending head id), each cluster's members in ascending id
+    and then its head; in zero-head rounds, every alive node in ascending id.
+    `links` holds the member-to-head distances in the same order."""
+
+    ids: np.ndarray
+    costs: np.ndarray
+    links: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -109,153 +112,129 @@ class RunResult:
     mean_head_to_bs_m: float
 
 
+def _sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
+    """start + values[0] + values[1] + ..., added left to right as a Python
+    loop would (0.0 + v == v, so a zero start is left out).  np.sum adds
+    pairwise and builtin sum compensates (Python 3.12+), and either can
+    change the last bit."""
+    if start:
+        values = np.concatenate(([start], values))
+    elif not len(values):
+        return 0.0
+    return float(np.add.accumulate(values)[-1])
+
+
 def transmission_costs(
-    assignment: ClusterAssignment,
-    nodes_by_id: dict[int, Node],
+    state: EngineState,
+    heads: np.ndarray,
+    members: np.ndarray,
+    head_of: np.ndarray | None,
     radio: RadioParams,
     bits: int,
-    tx: Callable[[float], float],
-    bs_cost: dict[int, float],
-) -> RoundTransmissions:
-    """Energy cost of one round's traffic, keyed by node id.
+) -> Ledger:
+    """Energy cost of one round's traffic, for the clusters form_clusters
+    returned.
 
     Members pay one transmission to their head; heads pay reception per
     member, aggregation over members+1 signals, and one transmission to the
-    base station; unclustered nodes pay one transmission to the base station.
-    `tx` is the run's transmit rule, radio.tx_energy_fn(radio, bits), and
-    `bs_cost` maps node id to its static transmit cost to the base station;
-    initial_state builds both once per run.
-    Costs are inserted cluster by cluster, members before their head, then
-    the unclustered nodes; the dissipation ledger sums them in that order.
+    base station.  Without heads (`head_of` None) every node of `members`
+    pays one transmission to the base station.  Member links are measured
+    with math.hypot, which np.hypot does not match in the last bit.
     """
-    rx = rx_energy(radio, bits)
-    costs: dict[int, float] = {}
-    packets = 0
-    member_distance_sum = 0.0
-    member_count = 0
-    head_distance_sum = 0.0
-    hypot = math.hypot
-    for cluster in assignment.clusters:
-        head_id = cluster.head_id
-        head = nodes_by_id[head_id]
-        hx, hy = head.x, head.y
-        for mid in cluster.member_ids:
-            m = nodes_by_id[mid]
-            d = hypot(m.x - hx, m.y - hy)
-            costs[mid] = tx(d)
-            member_distance_sum += d
-        n_members = len(cluster.member_ids)
-        member_count += n_members
-        costs[head_id] = (
-            n_members * rx
-            + aggregation_energy(radio, bits, n_members + 1)
-            + bs_cost[head_id]
-        )
-        head_distance_sum += head.distance_to_bs
-        packets += 1
-    for uid in assignment.unclustered:
-        costs[uid] = bs_cost[uid]
-        packets += 1
-    return RoundTransmissions(
-        costs=costs,
-        packets=packets,
-        member_distance_sum=member_distance_sum,
-        member_count=member_count,
-        head_distance_sum=head_distance_sum,
-        head_count=len(assignment.clusters),
+    if head_of is None:
+        return Ledger(members, state.bs_cost[members], np.empty(0))
+    order = head_of.argsort(kind="stable")  # cluster by cluster, ids ascending
+    members, head_of = members[order], head_of[order]
+    head_ids = heads[head_of]
+    dx = state.x[members] - state.x[head_ids]
+    dy = state.y[members] - state.y[head_ids]
+    links = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
+    n_members = np.bincount(head_of, minlength=len(heads))
+    # member j of cluster k follows k heads; head k follows its cluster
+    member_at = np.arange(len(members)) + head_of
+    head_at = n_members.cumsum() + np.arange(len(heads))
+    ids = np.empty(len(members) + len(heads), dtype=np.intp)
+    costs = np.empty(len(ids))
+    ids[member_at], costs[member_at] = members, tx_energy(radio, bits, links)
+    ids[head_at] = heads
+    costs[head_at] = (
+        n_members * rx_energy(radio, bits)
+        + aggregation_energy(radio, bits, n_members + 1)
+        + state.bs_cost[heads]
     )
+    return Ledger(ids, costs, links)
 
 
 def simulate_round(
-    state: EngineState,
-    r: int,
-    protocol: ProtocolKind,
-    config: SimConfig,
-    rng: random.Random,
+    state: EngineState, r: int, config: SimConfig, rng: random.Random
 ) -> RoundMetrics:
     """Advance the network one round; returns metrics sampled at round end."""
-    heads = elect_heads(
-        protocol,
-        state.alive_nodes,
-        r,
-        state.probs,
-        config.p_opt,
-        state.eligibility,
-        state.d_avg,
-        rng,
-    )
-    assignment = form_clusters(state.alive_nodes, heads, state.geometry)
-    tr = transmission_costs(
-        assignment,
-        state.nodes_by_id,
-        config.radio,
-        config.packet_bits,
-        state.tx,
-        state.bs_cost,
+    alive = state.alive
+    heads = elect_heads(state, alive, r, rng)
+    members, head_of = form_clusters(alive, heads, state.x, state.y)
+    ledger = transmission_costs(
+        state, heads, members, head_of, config.radio, config.packet_bits
     )
 
-    by_id = state.nodes_by_id
-    dissipated = state.energy_dissipated
-    any_death = False
-    for nid, cost in tr.costs.items():
-        node = by_id[nid]
-        e = node.residual_energy
-        if cost < e:
-            node.residual_energy = e - cost
-            dissipated += cost
-        else:
-            # insufficient energy: the action still happened, clamp and die
-            node.residual_energy = 0.0
-            dissipated += e
-            node.alive = False
-            any_death = True
-            state.alive_by_tier[node.tier] -= 1
-    state.energy_dissipated = dissipated
-    if any_death:
-        state.alive_nodes = [n for n in state.alive_nodes if n.alive]
+    # a node that cannot cover its cost still acts, then dies with 0 J left;
+    # the ledger charges it only what it had
+    ids = ledger.ids
+    energy = state.energy[ids]
+    spent = np.minimum(ledger.costs, energy)
+    left = energy - spent
+    state.energy[ids] = left
+    state.energy_dissipated = _sequential_sum(spent, state.energy_dissipated)
+    dead = ids[left == 0.0]
+    if len(dead):
+        state.alive = np.setdiff1d(alive, dead, assume_unique=True)
+        for t in state.tier[dead].tolist():
+            state.alive_by_tier[t] -= 1
 
-    state.packets_cum += tr.packets
-    state.member_distance_sum += tr.member_distance_sum
-    state.member_count += tr.member_count
-    state.head_distance_sum += tr.head_distance_sum
-    state.head_count_total += tr.head_count
+    packets = len(heads) or len(alive)
+    state.packets_cum += packets
+    state.member_distance_sum += _sequential_sum(ledger.links)
+    state.member_count += len(ledger.links)
+    state.head_distance_sum += _sequential_sum(state.d_bs[heads])
+    state.head_count_total += len(heads)
 
-    residual = 0.0
-    for node in state.alive_nodes:
-        residual += node.residual_energy
-    by_tier = state.alive_by_tier
+    normal, advanced, super_ = state.alive_by_tier
     return RoundMetrics(
         round=r + 1,
-        alive_total=len(state.alive_nodes),
-        alive_normal=by_tier[NodeTier.NORMAL],
-        alive_advanced=by_tier[NodeTier.ADVANCED],
-        alive_super=by_tier[NodeTier.SUPER],
+        alive_total=len(state.alive),
+        alive_normal=normal,
+        alive_advanced=advanced,
+        alive_super=super_,
         head_count=len(heads),
-        packets_to_bs_round=tr.packets,
+        packets_to_bs_round=packets,
         packets_to_bs_cum=state.packets_cum,
-        residual_energy_j=residual,
+        # dead nodes hold exactly 0.0, so summing every node adds nothing
+        # to the alive nodes' sum in ascending id
+        residual_energy_j=_sequential_sum(state.energy),
     )
 
 
-def initial_state(config: SimConfig, nodes: list[Node]) -> EngineState:
-    """Engine state for a fresh deployment; distance average, tier
-    probabilities, the transmit rule and base-station transmit costs are
-    fixed here and never recomputed."""
+def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
+    """Engine state for a fresh deployment; the distance average, the
+    election rule's rates, epochs and factors, and the base-station transmit
+    costs are fixed here and never recomputed."""
+    n = len(nodes.x)
+    d_avg = _sequential_sum(nodes.d_bs) / n
     probs = weighted_probabilities(config.p_opt, config.hetero)
-    by_tier = {tier: 0 for tier in NodeTier}
-    for node in nodes:
-        by_tier[node.tier] += 1
-    tx = tx_energy_fn(config.radio, config.packet_bits)
+    rate, factor = election_rule(config.protocol, config.p_opt, probs, nodes.d_bs, d_avg)
     return EngineState(
-        nodes_by_id={node.id: node for node in nodes},
-        tx=tx,
-        bs_cost={node.id: tx(node.distance_to_bs) for node in nodes},
-        geometry=FieldGeometry(nodes),
-        probs=probs,
-        eligibility=eligibility_for(config.protocol, probs, config.p_opt),
-        d_avg=average_distance(nodes),
-        alive_nodes=list(nodes),
-        alive_by_tier=by_tier,
+        x=nodes.x,
+        y=nodes.y,
+        d_bs=nodes.d_bs,
+        tier=nodes.tier,
+        energy=nodes.energy.copy(),
+        alive=np.arange(n),
+        eligible_from=np.zeros(n, dtype=np.int64),
+        bs_cost=tx_energy(config.radio, config.packet_bits, nodes.d_bs),
+        rate=rate,
+        epoch=np.array([epoch_length(p) for p in rate]),
+        factor=factor,
+        d_avg=d_avg,
+        alive_by_tier=np.bincount(nodes.tier, minlength=len(NodeTier)).tolist(),
     )
 
 
@@ -264,15 +243,13 @@ def run(config: SimConfig) -> RunResult:
     rng = random.Random(config.seed)
     nodes = deploy(config, rng)
     state = initial_state(config, nodes)
-    initial_energy = 0.0
-    for node in nodes:
-        initial_energy += node.initial_energy
+    initial_energy = _sequential_sum(nodes.energy)
 
     series: list[RoundMetrics] = []
     fnd = hnd = lnd = None
     half = config.n // 2
     for r in range(config.max_rounds):
-        metrics = simulate_round(state, r, config.protocol, config, rng)
+        metrics = simulate_round(state, r, config, rng)
         series.append(metrics)
         alive = metrics.alive_total
         if fnd is None and alive < config.n:

@@ -7,6 +7,8 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 
 class NodeTier(Enum):
     NORMAL = "normal"
@@ -107,18 +109,16 @@ class SimConfig:
             object.__setattr__(self, "bs_y", self.field_height / 2.0)
 
 
-@dataclass
-class Node:
-    """One sensor node.  Mutable: energy and liveness change per round."""
+@dataclass(frozen=True)
+class Deployment:
+    """A freshly deployed network as arrays indexed by node id.  `tier` holds
+    each node's index in NodeTier order (normal, advanced, super)."""
 
-    id: int
-    x: float
-    y: float
-    tier: NodeTier
-    initial_energy: float
-    residual_energy: float
-    distance_to_bs: float
-    alive: bool = True
+    x: np.ndarray
+    y: np.ndarray
+    d_bs: np.ndarray  # distance to the base station, m
+    tier: np.ndarray
+    energy: np.ndarray  # initial energy, J
 
 
 def tier_counts(n: int, hetero: HeterogeneityParams) -> tuple[int, int, int]:
@@ -139,7 +139,7 @@ def tier_counts(n: int, hetero: HeterogeneityParams) -> tuple[int, int, int]:
     return n_normal, n_advanced, n_super
 
 
-def deploy(config: SimConfig, rng: random.Random) -> list[Node]:
+def deploy(config: SimConfig, rng: random.Random) -> Deployment:
     """Place nodes uniformly over the field and assign tiers by node id.
 
     Ids 0 .. n_super-1 are super, the next n_advanced ids advanced, the rest
@@ -147,32 +147,18 @@ def deploy(config: SimConfig, rng: random.Random) -> list[Node]:
     deployment is a pure function of (config, rng state).
     """
     n_normal, n_advanced, n_super = tier_counts(config.n, config.hetero)
-    e0 = config.hetero.e0
-    energies = {
-        NodeTier.SUPER: e0 * (1.0 + config.hetero.b),
-        NodeTier.ADVANCED: e0 * (1.0 + config.hetero.a),
-        NodeTier.NORMAL: e0,
-    }
-    nodes = []
-    for i in range(config.n):
-        if i < n_super:
-            tier = NodeTier.SUPER
-        elif i < n_super + n_advanced:
-            tier = NodeTier.ADVANCED
-        else:
-            tier = NodeTier.NORMAL
-        x = rng.uniform(0.0, config.field_width)
-        y = rng.uniform(0.0, config.field_height)
-        energy = energies[tier]
-        nodes.append(
-            Node(
-                id=i,
-                x=x,
-                y=y,
-                tier=tier,
-                initial_energy=energy,
-                residual_energy=energy,
-                distance_to_bs=math.hypot(x - config.bs_x, y - config.bs_y),
-            )
-        )
-    return nodes
+    h = config.hetero
+    tier = np.repeat([2, 1, 0], [n_super, n_advanced, n_normal])  # super, advanced, normal
+    tier_energy = np.array([h.e0, h.e0 * (1.0 + h.a), h.e0 * (1.0 + h.b)])
+    x, y = [], []
+    for _ in range(config.n):
+        x.append(rng.uniform(0.0, config.field_width))
+        y.append(rng.uniform(0.0, config.field_height))
+    return Deployment(
+        x=np.array(x),
+        y=np.array(y),
+        # math.hypot, not np.hypot: the two differ in the last bit
+        d_bs=np.array([math.hypot(a - config.bs_x, b - config.bs_y) for a, b in zip(x, y)]),
+        tier=tier,
+        energy=tier_energy[tier],
+    )

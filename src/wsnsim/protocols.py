@@ -9,128 +9,55 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
-from .election import (
-    EligibilityState,
-    TierProbabilities,
-    dbcp_threshold,
-    epoch_length,
-    sep_threshold,
-)
-from .model import Node, NodeTier, ProtocolKind
+from .election import TierProbabilities, distance_factor, sep_threshold, threshold
+from .model import NodeTier, ProtocolKind
 
-__all__ = [
-    "ProtocolKind",
-    "Cluster",
-    "ClusterAssignment",
-    "eligibility_for",
-    "threshold_for",
-    "elect_heads",
-    "form_clusters",
-]
+__all__ = ["ProtocolKind", "election_rule", "elect_heads", "form_clusters"]
 
 
-@dataclass(frozen=True)
-class Cluster:
-    head_id: int
-    member_ids: list[int]
-
-
-@dataclass(frozen=True)
-class ClusterAssignment:
-    """One round's cluster structure.  Every alive node appears exactly once:
-    as a head, as a member, or (only in zero-head rounds) unclustered."""
-
-    clusters: list[Cluster]
-    unclustered: list[int]
-
-
-def eligibility_for(
-    protocol: ProtocolKind, probs: TierProbabilities, p_opt: float
-) -> EligibilityState:
-    """Fresh eligibility bookkeeping with the epoch lengths the protocol uses."""
+def election_rule(
+    protocol: ProtocolKind, p_opt: float, probs: TierProbabilities, d_bs, d_avg: float
+) -> tuple[tuple[float, ...], np.ndarray]:
+    """The election rate of each tier (in NodeTier order) and the distance
+    factor of each node under `protocol`."""
     if protocol is ProtocolKind.LEACH:
-        e = epoch_length(p_opt)
-        epochs = {tier: e for tier in NodeTier}
+        rate = (p_opt,) * len(NodeTier)
     else:
-        epochs = {tier: epoch_length(probs.for_tier(tier)) for tier in NodeTier}
-    return EligibilityState(epochs)
+        rate = tuple(probs.for_tier(tier) for tier in NodeTier)
+    if protocol is ProtocolKind.DBCP:
+        return rate, distance_factor(d_bs, d_avg)
+    return rate, np.ones(len(d_bs))
 
 
-def threshold_for(
-    protocol: ProtocolKind,
-    node: Node,
-    r: int,
-    probs: TierProbabilities,
-    p_opt: float,
-    eligibility: EligibilityState,
-    d_avg: float,
-) -> float:
-    """Election threshold for one alive node in round r."""
-    eligible = eligibility.is_eligible(node, r)
-    if protocol is ProtocolKind.LEACH:
-        return sep_threshold(p_opt, r, eligible)
-    p = probs.for_tier(node.tier)
-    if protocol is ProtocolKind.SEP:
-        return sep_threshold(p, r, eligible)
-    return dbcp_threshold(p, r, eligible, node.distance_to_bs, d_avg)
+def elect_heads(state, alive: np.ndarray, r: int, rng: random.Random) -> np.ndarray:
+    """Draw one uniform per node of `alive` (ascending ids) in that order; a
+    node becomes head iff its draw falls below its election threshold.
+    Elected nodes are marked ineligible for the remainder of their tier
+    epoch.  Returns the head ids in ascending order.
 
-
-def elect_heads(
-    protocol: ProtocolKind,
-    nodes: list[Node],
-    r: int,
-    probs: TierProbabilities,
-    p_opt: float,
-    eligibility: EligibilityState,
-    d_avg: float,
-    rng: random.Random,
-) -> list[int]:
-    """Draw one uniform per alive node in ascending id order; a node becomes
-    head iff its draw falls below threshold_for.  Elected nodes are marked
-    ineligible for the remainder of their tier epoch.  Returns head ids in
-    ascending order.
-
-    The per-tier base threshold is hoisted out of the node loop; per node only
-    eligibility and (for DBCP) the cached distance factor vary.  This is the
-    hot path of the whole simulator.
+    `state` is the run's node table (engine.EngineState): per-tier rate and
+    epoch, per-node tier, distance factor and first round of renewed
+    eligibility.
     """
-    if protocol is ProtocolKind.LEACH:
-        base = {tier: sep_threshold(p_opt, r, True) for tier in NodeTier}
-    else:
-        base = {
-            tier: sep_threshold(probs.for_tier(tier), r, True) for tier in NodeTier
-        }
-    scaled = protocol is ProtocolKind.DBCP
-    eligible_from = eligibility.eligible_from
-    draw = rng.random
-    heads: list[int] = []
-    for node in nodes:
-        if not node.alive:
-            continue
-        u = draw()  # every alive node draws, eligible or not (determinism contract)
-        if r < eligible_from.get(node.id, 0):
-            continue
-        t = base[node.tier]
-        if scaled and node.distance_to_bs < d_avg:
-            t = t * (1.0 - node.distance_to_bs / d_avg)
-        if u < t:
-            heads.append(node.id)
-            eligibility.mark_elected(node, r)
+    # every alive node draws, eligible or not (determinism contract); the
+    # iterator never ends, and fromiter takes exactly len(alive) draws
+    u = np.fromiter(iter(rng.random, None), float, len(alive))
+    tier = state.tier[alive]
+    t = threshold(
+        [sep_threshold(p, r) for p in state.rate],
+        tier,
+        state.factor[alive],
+        r >= state.eligible_from[alive],
+    )
+    elected = u < t
+    heads = alive[elected]
+    if len(heads):
+        epoch = state.epoch[tier[elected]]
+        state.eligible_from[heads] = (r // epoch + 1) * epoch
     return heads
-
-
-class FieldGeometry:
-    """Static per-run position arrays so nearest-head lookups do not rebuild
-    numpy arrays from node objects every round."""
-
-    def __init__(self, nodes: list[Node]):
-        self.row_of = {node.id: i for i, node in enumerate(nodes)}
-        self.x = np.array([node.x for node in nodes])
-        self.y = np.array([node.y for node in nodes])
 
 
 # Member x head pair count from which form_clusters searches a cell grid
@@ -229,42 +156,27 @@ def _nearest_grid(mx, my, hx, hy) -> np.ndarray:
 
 
 def form_clusters(
-    nodes: list[Node], heads: list[int], geometry: FieldGeometry | None = None
-) -> ClusterAssignment:
+    alive: np.ndarray, heads: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Attach every alive non-head node to its nearest head by squared
-    Euclidean distance; equidistant ties go to the lower head id.  With no
-    heads at all, every alive node is left unclustered.
+    Euclidean distance.  `alive` and `heads` hold ascending node ids and `x`,
+    `y` every node's position.  Returns the members (alive non-heads, in
+    ascending id) and, for each, the index in `heads` of its head; equal
+    distances go to the lower index, and so to the lower head id.  With no
+    heads at all the second item is None: every alive node is unclustered.
 
     Rounds with fewer than GRID_MIN_PAIRS member x head pairs compare every
     member with every head (_nearest_dense); larger ones search a cell grid
-    (_nearest_grid) that gives the same assignment.  Members keep their
-    order in `nodes` (ascending id) inside each cluster.
+    (_nearest_grid) that gives the same assignment.
     """
-    head_ids = sorted(heads)
-    if not head_ids:
-        return ClusterAssignment(
-            clusters=[], unclustered=[n.id for n in nodes if n.alive]
-        )
-    if geometry is None:
-        geometry = FieldGeometry(nodes)
-    head_set = frozenset(head_ids)
-    member_ids = [n.id for n in nodes if n.alive and n.id not in head_set]
-    row_of = geometry.row_of
-    head_rows = [row_of[h] for h in head_ids]
-    member_rows = [row_of[m] for m in member_ids]
+    if not len(heads):
+        return alive, None
+    is_head = np.zeros(len(x), dtype=bool)
+    is_head[heads] = True
+    members = alive[~is_head[alive]]
     search = (
         _nearest_grid
-        if len(member_rows) * len(head_rows) >= GRID_MIN_PAIRS
+        if len(members) * len(heads) >= GRID_MIN_PAIRS
         else _nearest_dense
     )
-    nearest = search(
-        geometry.x[member_rows], geometry.y[member_rows],
-        geometry.x[head_rows], geometry.y[head_rows],
-    )
-    cluster_members: list[list[int]] = [[] for _ in head_ids]
-    for mid, k in zip(member_ids, nearest.tolist()):
-        cluster_members[k].append(mid)
-    return ClusterAssignment(
-        clusters=[Cluster(h, m) for h, m in zip(head_ids, cluster_members)],
-        unclustered=[],
-    )
+    return members, search(x[members], y[members], x[heads], y[heads])

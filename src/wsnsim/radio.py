@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from typing import Callable
+
+import numpy as np
 
 from .model import RadioParams
 
@@ -18,28 +19,15 @@ def crossover_distance(radio: RadioParams) -> float:
     return math.sqrt(radio.eps_fs / radio.eps_mp)
 
 
-def tx_energy_fn(radio: RadioParams, bits: int) -> Callable[[float], float]:
-    """Energy to transmit `bits` as a function of the distance in metres.
-
-    This is the one implementation of the transmit rule.  The constants are
-    bound once, so a caller that prices many links (the engine builds one per
-    run) pays a single call per link.
-    """
-    d0 = crossover_distance(radio)
-    elec = bits * radio.e_elec
-    eps_fs, eps_mp = radio.eps_fs, radio.eps_mp
-
-    def tx(distance: float) -> float:
-        d2 = distance * distance
-        amp = eps_fs * d2 if distance < d0 else eps_mp * d2 * d2
-        return elec + bits * amp
-
-    return tx
-
-
-def tx_energy(radio: RadioParams, bits: int, distance: float) -> float:
-    """Energy to transmit `bits` over `distance` metres."""
-    return tx_energy_fn(radio, bits)(distance)
+def tx_energy(radio: RadioParams, bits: int, distance):
+    """Energy to transmit `bits` over `distance` metres: a float, or an array
+    of distances priced elementwise.  This is the one implementation of the
+    transmit rule."""
+    d2 = distance * distance
+    amp = np.where(
+        distance < crossover_distance(radio), radio.eps_fs * d2, radio.eps_mp * d2 * d2
+    )
+    return bits * radio.e_elec + bits * amp
 
 
 def rx_energy(radio: RadioParams, bits: int) -> float:

@@ -1,8 +1,31 @@
-import random
+import math
 
+import numpy as np
 import pytest
 
-from wsnsim.model import HeterogeneityParams, RadioParams, SimConfig, deploy
+from wsnsim.model import Deployment, NodeTier, RadioParams, SimConfig
+
+
+def build_deployment(coords, tiers=None, energies=None, bs=(50.0, 50.0)):
+    """A Deployment of nodes at `coords` (node i at coords[i]), measured from
+    a base station at `bs`.  `tiers` (NodeTier members) default to normal and
+    `energies` to 1.0 J each."""
+    n = len(coords)
+    tiers = [NodeTier.NORMAL] * n if tiers is None else tiers
+    return Deployment(
+        x=np.array([x for x, _ in coords], dtype=float),
+        y=np.array([y for _, y in coords], dtype=float),
+        d_bs=np.array([math.hypot(x - bs[0], y - bs[1]) for x, y in coords]),
+        tier=np.array([list(NodeTier).index(t) for t in tiers], dtype=np.intp),
+        energy=np.array([1.0] * n if energies is None else energies, dtype=float),
+    )
+
+
+@pytest.fixture(scope="session")
+def make_deployment():
+    """build_deployment, for tests (session scoped, so hypothesis tests may
+    use it too)."""
+    return build_deployment
 
 
 @pytest.fixture
@@ -11,22 +34,9 @@ def radio():
 
 
 @pytest.fixture
-def default_hetero():
-    return HeterogeneityParams(m=0.2, m0=0.1, a=2.0, b=3.0, e0=0.5)
-
-
-@pytest.fixture
 def small_config():
     # small field/population so full runs finish in well under a second
     return SimConfig(n=20, max_rounds=200, seed=3)
-
-
-@pytest.fixture
-def deployed():
-    """A frozen 30-node network plus the rng that placed it."""
-    config = SimConfig(n=30, seed=11)
-    rng = random.Random(config.seed)
-    return config, deploy(config, rng)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -18,24 +18,21 @@ import time
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from wsnsim import cli, engine, report
-from wsnsim.election import (
-    average_distance,
-    sep_threshold,
-    dbcp_threshold,
-    weighted_probabilities,
-)
+from wsnsim.election import distance_factor, sep_threshold, threshold, weighted_probabilities
 from wsnsim.engine import initial_state, simulate_round
 from wsnsim.model import (
     HeterogeneityParams,
+    NodeTier,
     ProtocolKind,
     RadioParams,
     SimConfig,
     deploy,
 )
-from wsnsim.protocols import eligibility_for, elect_heads, threshold_for
+from wsnsim.protocols import elect_heads
 from wsnsim.radio import crossover_distance, rx_energy, tx_energy
 
 PROTOCOLS = (ProtocolKind.LEACH, ProtocolKind.SEP, ProtocolKind.DBCP)
@@ -107,7 +104,7 @@ def test_criterion_2_probability_algebra():
     for n, hetero, expected in cases:
         closed = n * hetero.e0 * (1.0 + hetero.a * (hetero.m - hetero.m0) + hetero.m0 * hetero.b)
         nodes = deploy(SimConfig(n=n, hetero=hetero, seed=5), random.Random(5))
-        deployed = sum(node.initial_energy for node in nodes)
+        deployed = sum(nodes.energy.tolist())
         totals.append(deployed)
         exact = exact and closed == deployed == expected
     elapsed = time.perf_counter() - t0
@@ -123,22 +120,24 @@ def test_criterion_3_threshold_properties():
     t0 = time.perf_counter()
     rng = random.Random(3)
     u = rng.random
-    bounds_bad = order_bad = equality_bad = 0
+    ramp, d_avg, d_i = [], [], []
     for _ in range(100_000):
         p = 0.01 + 0.98 * u()
         r = int(10_000 * u())
-        d_avg = 1.0 + 99.0 * u()
-        d_i = 2.0 * d_avg * u()
-        s = sep_threshold(p, r, True)
-        d = dbcp_threshold(p, r, True, d_i, d_avg)
-        if not (0.0 <= s <= 1.0 and 0.0 <= d <= 1.0):
-            bounds_bad += 1
-        if d > s:
-            order_bad += 1
-        if (d == s) != (d_i >= d_avg or d_i == 0.0):
-            equality_bad += 1
+        ramp.append(sep_threshold(p, r))
+        d_avg.append(1.0 + 99.0 * u())
+        d_i.append(2.0 * d_avg[-1] * u())
+    ramp, d_avg, d_i = (np.array(v) for v in (ramp, d_avg, d_i))
+    # every draw is one node, of a tier of its own: the rule unscaled (leach,
+    # sep) and with the dbcp distance factor
+    node = np.arange(len(ramp))
+    s = threshold(ramp, node, 1.0, True)
+    d = threshold(ramp, node, distance_factor(d_i, d_avg), True)
+    bounds_bad = int(np.count_nonzero(~((0.0 <= s) & (s <= 1.0) & (0.0 <= d) & (d <= 1.0))))
+    order_bad = int(np.count_nonzero(d > s))
+    equality_bad = int(np.count_nonzero((d == s) != ((d_i >= d_avg) | (d_i == 0.0))))
     certain = all(
-        sep_threshold(1.0 / k, lap * k + (k - 1), True) == 1.0
+        sep_threshold(1.0 / k, lap * k + (k - 1)) == 1.0
         for k in range(1, 51)
         for lap in range(4)
     )
@@ -156,17 +155,13 @@ def test_criterion_4_election_oracle():
     t0 = time.perf_counter()
     config = SimConfig(n=100, seed=2026)
     nodes = deploy(config, random.Random(config.seed))
-    d_avg = average_distance(nodes)
-    probs = weighted_probabilities(config.p_opt, config.hetero)
     trials = 10_000
     deviations = {}
     ok = True
     for protocol in PROTOCOLS:
-        eligibility = eligibility_for(protocol, probs, config.p_opt)
-        thresholds = [
-            threshold_for(protocol, node, 0, probs, config.p_opt, eligibility, d_avg)
-            for node in nodes
-        ]
+        state = initial_state(replace(config, protocol=protocol), nodes)
+        tier_thresholds = [sep_threshold(p, 0) for p in state.rate]
+        thresholds = threshold(tier_thresholds, state.tier, state.factor, True).tolist()
         expected = sum(thresholds)
         # heads are independent Bernoulli draws in round 0, so the empirical
         # mean over `trials` draws has standard error sqrt(sum t(1-t)/trials)
@@ -174,10 +169,8 @@ def test_criterion_4_election_oracle():
         rng = random.Random(7)
         total = 0
         for _ in range(trials):
-            eligibility.reset()
-            total += len(
-                elect_heads(protocol, nodes, 0, probs, config.p_opt, eligibility, d_avg, rng)
-            )
+            state.eligible_from[:] = 0
+            total += len(elect_heads(state, state.alive, 0, rng))
         mean = total / trials
         deviations[protocol.value] = (mean, expected, abs(mean - expected) / se)
         ok = ok and abs(mean - expected) <= 3.0 * se
@@ -190,7 +183,7 @@ def test_criterion_4_election_oracle():
     assert record(4, "election head-count oracle", ok, f"{detail}, {elapsed:.1f} s")
 
 
-def test_criterion_5_single_cluster_closed_form():
+def test_criterion_5_single_cluster_closed_form(make_deployment):
     bits = 4000
     e_elec, eps_fs, eps_mp, e_da = 5e-9, 10e-12, 0.0013e-12, 5e-9
     d0 = math.sqrt(eps_fs / eps_mp)
@@ -205,28 +198,24 @@ def test_criterion_5_single_cluster_closed_form():
         (65.0, 65.0), (20.0, 80.0), (80.0, 20.0),
     ]
     config = SimConfig(n=len(coords), seed=9, protocol=ProtocolKind.LEACH)
-    nodes = deploy(config, random.Random(config.seed))
-    for node, (x, y) in zip(nodes, coords):
-        node.x = x
-        node.y = y
-        node.distance_to_bs = math.hypot(x - 50.0, y - 50.0)
+    # the default config's tiers for 8 nodes: one super, one advanced, six normal
+    tiers = [NodeTier.SUPER, NodeTier.ADVANCED] + [NodeTier.NORMAL] * 6
+    nodes = make_deployment(coords, tiers, energies=[2.0, 1.5] + [0.5] * 6)
     state = initial_state(config, nodes)
-    for node in nodes[1:]:
-        state.eligibility.eligible_from[node.id] = 10**9
-    before = sum(node.residual_energy for node in nodes)
+    state.eligible_from[1:] = 10**9
+    before = sum(nodes.energy.tolist())
     # round 9 closes the p=0.1 epoch, so the sole eligible node is certain
-    metrics = simulate_round(state, 9, ProtocolKind.LEACH, config, random.Random(3))
-    after = sum(node.residual_energy for node in nodes)
+    metrics = simulate_round(state, 9, config, random.Random(3))
+    after = sum(state.energy.tolist())
     engine_spend = before - after
 
-    head = nodes[0]
-    members = nodes[1:]
+    (hx, hy), members = coords[0], coords[1:]
     e_ch = (
         len(members) * bits * e_elec
         + len(coords) * bits * e_da
-        + tx_hand(head.distance_to_bs)
+        + tx_hand(math.hypot(hx - 50.0, hy - 50.0))
     )
-    e_nch = sum(tx_hand(math.hypot(n.x - head.x, n.y - head.y)) for n in members)
+    e_nch = sum(tx_hand(math.hypot(x - hx, y - hy)) for x, y in members)
     drift = abs(engine_spend - (e_ch + e_nch))
     ledger_drift = abs(state.energy_dissipated - (e_ch + e_nch))
     ok = metrics.head_count == 1 and metrics.packets_to_bs_round == 1

@@ -337,11 +337,15 @@ def _out_of_memory(config):
 class TestWorkerFailures:
     def test_dead_pool_worker_is_a_clean_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(engine, "run", _exit_abruptly)
-        code = main(["compare", "--out", str(tmp_path / "out"), "--seeds", "1..2",
+        out = tmp_path / "out"
+        code = main(["compare", "--out", str(out), "--seeds", "1..2",
                      "--max-rounds", "5", "--workers", "2"])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
+        # the config echo comes last, so a failed batch leaves none behind
+        assert not (out / "config.json").exists()
+        assert not (out / "derived.json").exists()
 
     def test_memory_error_is_a_clean_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(engine, "run", _out_of_memory)

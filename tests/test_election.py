@@ -5,37 +5,31 @@ Monte Carlo expectations (mean node-to-centre distance) were produced with a
 plain-stdlib estimator before the module existed and are frozen here.
 """
 
-import math
 import random
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from wsnsim.election import (
-    EligibilityState,
-    average_distance,
-    dbcp_threshold,
+    distance_factor,
     epoch_length,
     sep_threshold,
+    threshold,
     weighted_probabilities,
 )
-from wsnsim.model import HeterogeneityParams, Node, NodeTier
+from wsnsim.engine import initial_state
+from wsnsim.model import HeterogeneityParams, NodeTier, ProtocolKind, SimConfig
+from wsnsim.protocols import elect_heads
 
 
 def hetero(m=0.2, m0=0.1, a=2.0, b=3.0, e0=0.5):
     return HeterogeneityParams(m=m, m0=m0, a=a, b=b, e0=e0)
 
 
-def make_node(node_id=0, tier=NodeTier.NORMAL, d=30.0):
-    return Node(
-        id=node_id,
-        x=0.0,
-        y=0.0,
-        tier=tier,
-        initial_energy=0.5,
-        residual_energy=0.5,
-        distance_to_bs=d,
-    )
+def dbcp_threshold(p, r, eligible, d_i, d_avg):
+    """The election threshold rule for one node of rate p, with the dbcp
+    distance factor."""
+    return threshold([sep_threshold(p, r)], 0, distance_factor(d_i, d_avg), eligible)
 
 
 valid_hetero = st.builds(
@@ -110,39 +104,39 @@ class TestEpochLength:
 
 class TestSepThreshold:
     def test_epoch_start(self):
-        assert sep_threshold(0.1, 0, True) == pytest.approx(0.1, rel=1e-12)
+        assert sep_threshold(0.1, 0) == pytest.approx(0.1, rel=1e-12)
 
     def test_epoch_end_exactly_one(self):
-        assert sep_threshold(0.1, 9, True) == 1.0
+        assert sep_threshold(0.1, 9) == 1.0
 
     def test_epoch_end_exact_for_non_dyadic_rate(self):
         # the naive p/(1 - p*(r%epoch)) form lands at 0.999..9 here
-        assert sep_threshold(1.0 / 3.0, 2, True) == 1.0
+        assert sep_threshold(1.0 / 3.0, 2) == 1.0
 
     def test_ineligible_is_zero(self):
-        assert sep_threshold(0.1, 5, False) == 0.0
+        assert threshold([sep_threshold(0.1, 5)], 0, 1.0, False) == 0.0
 
     def test_epoch_wraps(self):
-        assert sep_threshold(0.1, 10, True) == sep_threshold(0.1, 0, True)
-        assert sep_threshold(0.1, 19, True) == 1.0
+        assert sep_threshold(0.1, 10) == sep_threshold(0.1, 0)
+        assert sep_threshold(0.1, 19) == 1.0
 
     def test_fractional_rate_clamped(self):
         # 1/0.3 = 3.33, epoch 4: position 3 overshoots and is clamped
-        assert sep_threshold(0.3, 3, True) == 1.0
-        assert sep_threshold(0.3, 2, True) == pytest.approx(0.75, rel=1e-12)
+        assert sep_threshold(0.3, 3) == 1.0
+        assert sep_threshold(0.3, 2) == pytest.approx(0.75, rel=1e-12)
 
     @given(
         p=st.floats(min_value=0.005, max_value=0.95),
         r=st.integers(min_value=0, max_value=10**6),
     )
     def test_bounded(self, p, r):
-        t = sep_threshold(p, r, True)
+        t = sep_threshold(p, r)
         assert 0.0 <= t <= 1.0
         assert t >= p * 0.999999  # ramp never drops below the base rate
 
     @given(k=st.integers(min_value=2, max_value=2000), lap=st.integers(min_value=0, max_value=3))
     def test_integral_inverse_rate_certain_at_epoch_end(self, k, lap):
-        assert sep_threshold(1.0 / k, k - 1 + lap * k, True) == 1.0
+        assert sep_threshold(1.0 / k, k - 1 + lap * k) == 1.0
 
 
 class TestDbcpThreshold:
@@ -157,7 +151,7 @@ class TestDbcpThreshold:
 
     def test_beyond_average_equals_sep(self):
         for r in range(12):
-            assert dbcp_threshold(0.1, r, True, 55.0, 40.0) == sep_threshold(0.1, r, True)
+            assert dbcp_threshold(0.1, r, True, 55.0, 40.0) == sep_threshold(0.1, r)
 
     @given(
         p=st.floats(min_value=0.01, max_value=0.9),
@@ -167,7 +161,7 @@ class TestDbcpThreshold:
     )
     def test_never_exceeds_sep(self, p, r, d_avg, ratio):
         d_i = ratio * d_avg
-        assert dbcp_threshold(p, r, True, d_i, d_avg) <= sep_threshold(p, r, True)
+        assert dbcp_threshold(p, r, True, d_i, d_avg) <= sep_threshold(p, r)
 
     @given(
         p=st.floats(min_value=0.01, max_value=0.9),
@@ -176,7 +170,7 @@ class TestDbcpThreshold:
         ratio=st.floats(min_value=1e-9, max_value=0.999999),
     )
     def test_strictly_below_sep_in_near_region(self, p, r, d_avg, ratio):
-        base = sep_threshold(p, r, True)
+        base = sep_threshold(p, r)
         assert dbcp_threshold(p, r, True, ratio * d_avg, d_avg) < base
 
     @given(
@@ -195,65 +189,78 @@ class TestDbcpThreshold:
         assert dbcp_threshold(0.1, 3, False, 10.0, 40.0) == 0.0
 
 
+class AlwaysZero:
+    """An rng whose every draw is 0.0, so elect_heads elects exactly the
+    eligible nodes."""
+
+    def random(self):
+        return 0.0
+
+
+def eligibility_state(make_deployment, tiers, protocol=ProtocolKind.LEACH, p_opt=0.1):
+    nodes = make_deployment([(0.0, 0.0)] * len(tiers), tiers)
+    return initial_state(SimConfig(n=len(tiers), protocol=protocol, p_opt=p_opt), nodes)
+
+
+def eligible_in(state, r):
+    """Ids elected in round r by an all-zero draw, i.e. the eligible ones;
+    electing them marks them as elected in round r."""
+    return elect_heads(state, state.alive, r, AlwaysZero()).tolist()
+
+
 class TestEligibilityState:
-    def test_fresh_state_all_eligible(self):
-        state = EligibilityState({tier: 10 for tier in NodeTier})
-        node = make_node()
-        assert state.is_eligible(node, 0)
-        assert state.is_eligible(node, 999)
+    def test_fresh_state_all_eligible(self, make_deployment):
+        for r in (0, 999):
+            state = eligibility_state(make_deployment, [NodeTier.NORMAL])
+            assert state.eligible_from.tolist() == [0]
+            assert eligible_in(state, r) == [0]
 
-    def test_elected_node_blocked_until_epoch_wraps(self):
-        state = EligibilityState({tier: 10 for tier in NodeTier})
-        node = make_node()
-        state.mark_elected(node, 3)
+    def test_elected_node_blocked_until_epoch_wraps(self, make_deployment):
+        state = eligibility_state(make_deployment, [NodeTier.NORMAL])  # epoch 10
+        assert eligible_in(state, 3) == [0]
         for r in range(3, 10):
-            assert not state.is_eligible(node, r)
-        assert state.is_eligible(node, 10)
+            assert eligible_in(state, r) == []
+        assert eligible_in(state, 10) == [0]
 
-    def test_election_in_later_epoch(self):
-        state = EligibilityState({tier: 5 for tier in NodeTier})
-        node = make_node()
-        state.mark_elected(node, 12)  # epoch [10, 15)
-        assert not state.is_eligible(node, 14)
-        assert state.is_eligible(node, 15)
+    def test_election_in_later_epoch(self, make_deployment):
+        state = eligibility_state(make_deployment, [NodeTier.NORMAL], p_opt=0.2)  # epoch 5
+        assert eligible_in(state, 12) == [0]  # epoch [10, 15)
+        assert state.eligible_from.tolist() == [15]
+        assert eligible_in(state, 14) == []
+        assert eligible_in(state, 15) == [0]
 
-    def test_per_tier_epochs(self):
-        state = EligibilityState({NodeTier.NORMAL: 15, NodeTier.ADVANCED: 5, NodeTier.SUPER: 4})
-        normal = make_node(0, NodeTier.NORMAL)
-        adv = make_node(1, NodeTier.ADVANCED)
-        state.mark_elected(normal, 0)
-        state.mark_elected(adv, 0)
-        assert state.is_eligible(adv, 5)
-        assert not state.is_eligible(normal, 5)
-        assert state.is_eligible(normal, 15)
+    def test_per_tier_epochs(self, make_deployment):
+        # sep at the default rates: epochs of 15 (normal), 5 (advanced), 4 (super)
+        state = eligibility_state(
+            make_deployment, [NodeTier.NORMAL, NodeTier.ADVANCED], protocol=ProtocolKind.SEP
+        )
+        assert state.epoch.tolist() == [15, 5, 4]
+        assert eligible_in(state, 0) == [0, 1]
+        assert eligible_in(state, 5) == [1]
+        assert 0 in eligible_in(state, 15)
 
-    def test_reset(self):
-        state = EligibilityState({tier: 10 for tier in NodeTier})
-        node = make_node()
-        state.mark_elected(node, 0)
-        state.reset()
-        assert state.is_eligible(node, 1)
+    def test_reset(self, make_deployment):
+        state = eligibility_state(make_deployment, [NodeTier.NORMAL])
+        assert eligible_in(state, 0) == [0]
+        state.eligible_from[:] = 0  # how criterion 4 clears eligibility between trials
+        assert eligible_in(state, 1) == [0]
+
+
+def d_avg_of(make_deployment, coords):
+    """The deployment-average distance to the base station at (50, 50)."""
+    return initial_state(SimConfig(n=len(coords)), make_deployment(coords)).d_avg
 
 
 class TestAverageDistance:
-    def test_two_point_mean(self):
-        nodes = [make_node(0, d=10.0), make_node(1, d=30.0)]
-        assert average_distance(nodes) == 20.0
+    def test_two_point_mean(self, make_deployment):
+        assert d_avg_of(make_deployment, [(60.0, 50.0), (50.0, 80.0)]) == 20.0
 
-    def test_single_node(self):
-        assert average_distance([make_node(d=17.5)]) == 17.5
+    def test_single_node(self, make_deployment):
+        assert d_avg_of(make_deployment, [(50.0, 67.5)]) == 17.5
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            average_distance([])
-
-    def test_uniform_square_matches_frozen_monte_carlo(self):
+    def test_uniform_square_matches_frozen_monte_carlo(self, make_deployment):
         """Frozen oracle: 1e6 stdlib draws on a 100x100 field put the mean
         distance to the centre at 38.265; a 20k-node sample must agree."""
         rng = random.Random(17)
-        nodes = [
-            make_node(i, d=math.hypot(rng.uniform(0, 100) - 50, rng.uniform(0, 100) - 50))
-            for i in range(20000)
-        ]
-        assert average_distance(nodes) == pytest.approx(38.26, abs=0.4)
-
+        coords = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(20000)]
+        assert d_avg_of(make_deployment, coords) == pytest.approx(38.26, abs=0.4)

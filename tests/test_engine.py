@@ -10,81 +10,74 @@ station pays 2.0e-5 (rx) + 4.0e-5 (fusing two signals) + 5.6e-5 (tx)
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wsnsim import engine
 from wsnsim.engine import initial_state, simulate_round, transmission_costs
-from wsnsim.model import (
-    HeterogeneityParams,
-    Node,
-    NodeTier,
-    ProtocolKind,
-    RadioParams,
-    SimConfig,
-)
-from wsnsim.protocols import Cluster, ClusterAssignment
+from wsnsim.model import HeterogeneityParams, ProtocolKind, RadioParams, SimConfig
 from wsnsim.radio import aggregation_energy, rx_energy, tx_energy
-
-
-def make_node(node_id, x, y, bs=(50.0, 50.0), tier=NodeTier.NORMAL, energy=1.0):
-    return Node(
-        id=node_id,
-        x=x,
-        y=y,
-        tier=tier,
-        initial_energy=energy,
-        residual_energy=energy,
-        distance_to_bs=math.hypot(x - bs[0], y - bs[1]),
-    )
 
 
 def homogeneous(e0=0.5):
     return HeterogeneityParams(m=0.0, m0=0.0, a=0.0, b=0.0, e0=e0)
 
 
-def costs_for(assignment, nodes_by_id, radio, bits):
-    """transmission_costs priced with the transmit rule and base-station
-    table that initial_state builds for a run over these nodes."""
-    config = SimConfig(n=len(nodes_by_id), radio=radio, packet_bits=bits)
-    state = initial_state(config, list(nodes_by_id.values()))
+def ledger_for(nodes, heads, members, head_of, radio=RadioParams(), bits=4000):
+    """transmission_costs for the given clusters, priced with the
+    base-station costs initial_state builds for a run over `nodes`."""
+    config = SimConfig(n=len(nodes.x), radio=radio, packet_bits=bits)
+    state = initial_state(config, nodes)
     return transmission_costs(
-        assignment, state.nodes_by_id, radio, bits, state.tx, state.bs_cost
+        state,
+        np.array(heads, dtype=np.intp),
+        np.array(members, dtype=np.intp),
+        None if head_of is None else np.array(head_of, dtype=np.intp),
+        radio,
+        bits,
     )
 
 
+def costs_by_id(ledger):
+    return dict(zip(ledger.ids.tolist(), ledger.costs.tolist()))
+
+
 class TestTransmissionCosts:
-    def test_two_node_cluster_hand_values(self):
-        head = make_node(0, 50.0, 80.0)    # 30 m from the base station
-        member = make_node(1, 50.0, 100.0)  # 20 m from the head
-        nodes_by_id = {0: head, 1: member}
-        assignment = ClusterAssignment(clusters=[Cluster(0, [1])], unclustered=[])
-        tr = costs_for(assignment, nodes_by_id, RadioParams(), 4000)
-        assert tr.costs[1] == pytest.approx(3.6e-5, abs=1e-12)
-        assert tr.costs[0] == pytest.approx(1.16e-4, abs=1e-12)
-        assert tr.packets == 1
-        assert tr.member_count == 1
-        assert tr.member_distance_sum == pytest.approx(20.0, rel=1e-12)
-        assert tr.head_distance_sum == pytest.approx(30.0, rel=1e-12)
+    def test_two_node_cluster_hand_values(self, make_deployment):
+        # head 30 m from the base station, member 20 m from the head
+        nodes = make_deployment([(50.0, 80.0), (50.0, 100.0)])
+        ledger = ledger_for(nodes, [0], [1], [0])
+        costs = costs_by_id(ledger)
+        assert costs[1] == pytest.approx(3.6e-5, abs=1e-12)
+        assert costs[0] == pytest.approx(1.16e-4, abs=1e-12)
+        assert ledger.ids.tolist() == [1, 0]  # the member is charged first
+        assert ledger.links.tolist() == [pytest.approx(20.0, rel=1e-12)]
 
-    def test_zero_head_round_all_direct(self):
-        nodes = {i: make_node(i, 50.0 + 10.0 * i, 50.0) for i in range(3)}
-        assignment = ClusterAssignment(clusters=[], unclustered=[0, 1, 2])
-        radio = RadioParams()
-        tr = costs_for(assignment, nodes, radio, 4000)
-        assert tr.packets == 3
-        for i in range(3):
-            assert tr.costs[i] == tx_energy(radio, 4000, nodes[i].distance_to_bs)
+    def test_ledger_order_cluster_by_cluster(self, make_deployment):
+        """Clusters in ascending head id, each with its members in ascending
+        id followed by its head; links follow the members' order."""
+        nodes = make_deployment([(float(i), 0.0) for i in range(7)])
+        ledger = ledger_for(nodes, [2, 5], [0, 1, 3, 4, 6], [1, 0, 1, 0, 0])
+        assert ledger.ids.tolist() == [1, 4, 6, 2, 0, 3, 5]
+        assert ledger.links.tolist() == [1.0, 2.0, 4.0, 5.0, 2.0]
 
-    def test_head_with_no_members_still_reports(self):
-        head = make_node(0, 50.0, 60.0)
-        assignment = ClusterAssignment(clusters=[Cluster(0, [])], unclustered=[])
+    def test_zero_head_round_all_direct(self, make_deployment):
+        nodes = make_deployment([(50.0 + 10.0 * i, 50.0) for i in range(3)])
         radio = RadioParams()
-        tr = costs_for(assignment, {0: head}, radio, 4000)
+        ledger = ledger_for(nodes, [], [0, 1, 2], None, radio)
+        assert ledger.ids.tolist() == [0, 1, 2]
+        assert len(ledger.links) == 0
+        for i, cost in costs_by_id(ledger).items():
+            assert cost == tx_energy(radio, 4000, nodes.d_bs[i])
+
+    def test_head_with_no_members_still_reports(self, make_deployment):
+        nodes = make_deployment([(50.0, 60.0)])
+        radio = RadioParams()
+        ledger = ledger_for(nodes, [0], [], [], radio)
         # aggregation still covers the head's own signal
         expected = aggregation_energy(radio, 4000, 1) + tx_energy(radio, 4000, 10.0)
-        assert tr.costs[0] == pytest.approx(expected, rel=1e-12)
-        assert tr.packets == 1
+        assert costs_by_id(ledger)[0] == pytest.approx(expected, rel=1e-12)
 
     @given(
         hx=st.floats(min_value=0.0, max_value=100.0),
@@ -94,84 +87,83 @@ class TestTransmissionCosts:
         bits=st.integers(min_value=1, max_value=10**5),
     )
     @settings(max_examples=120, deadline=None)
-    def test_inline_tx_math_matches_radio_module_bitwise(self, hx, hy, mx, my, bits):
+    def test_inline_tx_math_matches_radio_module_bitwise(
+        self, make_deployment, hx, hy, mx, my, bits
+    ):
         """Cost composition: a member pays exactly tx_energy over its link, and
         a head pays rx per member plus aggregation plus tx_energy to the base
         station, summed in that order, float for float."""
         radio = RadioParams()
-        head = make_node(0, hx, hy)
-        member = make_node(1, mx, my)
-        nodes_by_id = {0: head, 1: member}
-        assignment = ClusterAssignment(clusters=[Cluster(0, [1])], unclustered=[])
-        tr = costs_for(assignment, nodes_by_id, radio, bits)
+        nodes = make_deployment([(hx, hy), (mx, my)])
+        costs = costs_by_id(ledger_for(nodes, [0], [1], [0], radio, bits))
         d = math.hypot(mx - hx, my - hy)
-        assert tr.costs[1] == tx_energy(radio, bits, d)
-        assert tr.costs[0] == (
+        assert costs[1] == tx_energy(radio, bits, d)
+        assert costs[0] == (
             1 * rx_energy(radio, bits)
             + aggregation_energy(radio, bits, 2)
-            + tx_energy(radio, bits, head.distance_to_bs)
+            + tx_energy(radio, bits, nodes.d_bs[0])
         )
 
     @given(d_bs=st.floats(min_value=0.0, max_value=200.0))
     @settings(max_examples=60, deadline=None)
-    def test_unclustered_cost_matches_radio_module_bitwise(self, d_bs):
+    def test_unclustered_cost_matches_radio_module_bitwise(self, make_deployment, d_bs):
         """Cost composition: an unclustered node pays exactly one tx_energy
         to the base station, float for float."""
         radio = RadioParams()
-        node = make_node(0, 50.0 + d_bs, 50.0)
-        assignment = ClusterAssignment(clusters=[], unclustered=[0])
-        tr = costs_for(assignment, {0: node}, radio, 4000)
-        assert tr.costs[0] == tx_energy(radio, 4000, node.distance_to_bs)
+        nodes = make_deployment([(50.0 + d_bs, 50.0)])
+        ledger = ledger_for(nodes, [], [0], None, radio)
+        assert ledger.costs.tolist() == [tx_energy(radio, 4000, nodes.d_bs[0])]
 
 
 def rigged_state(nodes, config, sole_head_id=None):
     """Engine state where only `sole_head_id` can be elected (or nobody,
     when None); pair with round r=9 under LEACH so the survivor is certain."""
     state = initial_state(config, nodes)
-    for node in nodes:
-        if node.id != sole_head_id:
-            state.eligibility.eligible_from[node.id] = 10**9
+    state.eligible_from[:] = 10**9
+    if sole_head_id is not None:
+        state.eligible_from[sole_head_id] = 0
     return state
 
 
 class TestSimulateRound:
-    def test_forced_two_node_round(self):
+    def test_forced_two_node_round(self, make_deployment):
         config = SimConfig(n=2, protocol=ProtocolKind.LEACH, hetero=homogeneous(1.0))
-        head = make_node(0, 50.0, 80.0)
-        member = make_node(1, 50.0, 100.0)
-        state = rigged_state([head, member], config, sole_head_id=0)
-        metrics = simulate_round(state, 9, ProtocolKind.LEACH, config, random.Random(0))
+        nodes = make_deployment([(50.0, 80.0), (50.0, 100.0)])  # head, member
+        state = rigged_state(nodes, config, sole_head_id=0)
+        metrics = simulate_round(state, 9, config, random.Random(0))
         assert metrics.round == 10
         assert metrics.head_count == 1
         assert metrics.packets_to_bs_round == 1
         assert metrics.alive_total == 2
-        assert head.residual_energy == pytest.approx(1.0 - 1.16e-4, abs=1e-12)
-        assert member.residual_energy == pytest.approx(1.0 - 3.6e-5, abs=1e-12)
+        assert state.energy[0] == pytest.approx(1.0 - 1.16e-4, abs=1e-12)
+        assert state.energy[1] == pytest.approx(1.0 - 3.6e-5, abs=1e-12)
         assert metrics.residual_energy_j == pytest.approx(2.0 - 1.52e-4, abs=1e-11)
         assert state.energy_dissipated == pytest.approx(1.52e-4, abs=1e-12)
+        assert state.member_count == 1
+        assert state.member_distance_sum == pytest.approx(20.0, rel=1e-12)
+        assert state.head_distance_sum == pytest.approx(30.0, rel=1e-12)
 
-    def test_zero_head_round_direct_to_bs(self):
+    def test_zero_head_round_direct_to_bs(self, make_deployment):
         config = SimConfig(n=4, protocol=ProtocolKind.SEP, hetero=homogeneous(1.0))
-        nodes = [make_node(i, 50.0, 55.0 + 5.0 * i) for i in range(4)]
+        nodes = make_deployment([(50.0, 55.0 + 5.0 * i) for i in range(4)])
         state = rigged_state(nodes, config, sole_head_id=None)
-        before = sum(n.residual_energy for n in nodes)
-        metrics = simulate_round(state, 0, ProtocolKind.SEP, config, random.Random(0))
+        before = sum(nodes.energy.tolist())
+        metrics = simulate_round(state, 0, config, random.Random(0))
         assert metrics.head_count == 0
         assert metrics.packets_to_bs_round == 4
-        expected_cost = sum(
-            tx_energy(config.radio, 4000, n.distance_to_bs) for n in nodes
-        )
+        expected_cost = sum(tx_energy(config.radio, 4000, d) for d in nodes.d_bs.tolist())
         assert before - metrics.residual_energy_j == pytest.approx(expected_cost, abs=1e-12)
 
-    def test_insufficient_energy_clamps_and_kills(self):
+    def test_insufficient_energy_clamps_and_kills(self, make_deployment):
         config = SimConfig(n=3, protocol=ProtocolKind.LEACH, hetero=homogeneous(1.0))
-        head = make_node(0, 50.0, 80.0)
-        poor = make_node(1, 50.0, 100.0, energy=1e-9)  # cannot afford its tx
-        rich = make_node(2, 60.0, 80.0)
-        state = rigged_state([head, poor, rich], config, sole_head_id=0)
-        metrics = simulate_round(state, 9, ProtocolKind.LEACH, config, random.Random(0))
-        assert not poor.alive
-        assert poor.residual_energy == 0.0
+        # a head, a poor node that cannot afford its tx, a rich node
+        nodes = make_deployment(
+            [(50.0, 80.0), (50.0, 100.0), (60.0, 80.0)], energies=[1.0, 1e-9, 1.0]
+        )
+        state = rigged_state(nodes, config, sole_head_id=0)
+        metrics = simulate_round(state, 9, config, random.Random(0))
+        assert state.alive.tolist() == [0, 2]
+        assert state.energy[1] == 0.0
         assert metrics.alive_total == 2
         assert metrics.packets_to_bs_round == 1  # the head still delivered
         # the ledger charges the poor node only what it actually had
@@ -179,26 +171,27 @@ class TestSimulateRound:
         head_cost = (
             2 * rx_energy(radio, 4000)
             + aggregation_energy(radio, 4000, 3)
-            + tx_energy(radio, 4000, head.distance_to_bs)
+            + tx_energy(radio, 4000, nodes.d_bs[0])
         )
-        rich_cost = tx_energy(radio, 4000, math.hypot(rich.x - head.x, rich.y - head.y))
+        rich_cost = tx_energy(radio, 4000, 10.0)
         assert state.energy_dissipated == pytest.approx(
             head_cost + rich_cost + 1e-9, abs=1e-15
         )
 
-    def test_dead_nodes_stay_dead_and_unchanged(self):
+    def test_dead_nodes_stay_dead_and_unchanged(self, make_deployment):
         config = SimConfig(n=3, protocol=ProtocolKind.LEACH, hetero=homogeneous(1.0))
-        head = make_node(0, 50.0, 80.0)
-        poor = make_node(1, 50.0, 100.0, energy=1e-9)
-        rich = make_node(2, 60.0, 80.0)
-        state = rigged_state([head, poor, rich], config, sole_head_id=0)
-        simulate_round(state, 9, ProtocolKind.LEACH, config, random.Random(0))
-        assert not poor.alive
+        nodes = make_deployment(
+            [(50.0, 80.0), (50.0, 100.0), (60.0, 80.0)], energies=[1.0, 1e-9, 1.0]
+        )
+        state = rigged_state(nodes, config, sole_head_id=0)
+        simulate_round(state, 9, config, random.Random(0))
+        assert 1 not in state.alive
         # next round: nobody eligible -> direct-to-bs fallback for survivors only
-        metrics = simulate_round(state, 10, ProtocolKind.LEACH, config, random.Random(1))
+        metrics = simulate_round(state, 10, config, random.Random(1))
         assert metrics.packets_to_bs_round == 2
-        assert poor.residual_energy == 0.0
+        assert state.energy[1] == 0.0
         assert metrics.alive_total == 2
+        assert state.alive_by_tier == [2, 0, 0]
 
 
 class TestRun:
@@ -279,27 +272,25 @@ class TestRun:
         result = engine.run(config)
         # deaths occurred, yet d_avg still reflects the full deployment
         nodes = engine.deploy(config, random.Random(config.seed))
-        full_mean = sum(n.distance_to_bs for n in nodes) / len(nodes)
+        total = 0.0
+        for d in nodes.d_bs.tolist():
+            total += d
+        full_mean = total / config.n
         assert result.summary.fnd_round is not None
         assert result.d_avg == full_mean
 
 
 class TestSingleClusterClosedForm:
-    def test_forced_single_cluster_matches_hand_ledger(self):
+    def test_forced_single_cluster_matches_hand_ledger(self, make_deployment):
         """One head, n-1 members: engine total equals the closed-form
         head + member ledger evaluated from the raw constants."""
         config = SimConfig(n=6, protocol=ProtocolKind.LEACH, hetero=homogeneous(1.0))
-        nodes = [
-            make_node(0, 50.0, 70.0),
-            make_node(1, 30.0, 40.0),
-            make_node(2, 80.0, 60.0),
-            make_node(3, 45.0, 15.0),
-            make_node(4, 95.0, 95.0),
-            make_node(5, 10.0, 80.0),
-        ]
+        coords = [(50.0, 70.0), (30.0, 40.0), (80.0, 60.0), (45.0, 15.0), (95.0, 95.0),
+                  (10.0, 80.0)]
+        nodes = make_deployment(coords)
         state = rigged_state(nodes, config, sole_head_id=0)
-        before = sum(n.residual_energy for n in nodes)
-        metrics = simulate_round(state, 9, ProtocolKind.LEACH, config, random.Random(3))
+        before = sum(nodes.energy.tolist())
+        metrics = simulate_round(state, 9, config, random.Random(3))
         assert metrics.head_count == 1
 
         bits, e_elec, eps_fs, eps_mp, e_da = 4000, 5e-9, 10e-12, 0.0013e-12, 5e-9
@@ -310,11 +301,11 @@ class TestSingleClusterClosedForm:
                 return bits * e_elec + bits * eps_fs * d**2
             return bits * e_elec + bits * eps_mp * d**4
 
-        head, members = nodes[0], nodes[1:]
+        (hx, hy), members = coords[0], coords[1:]
         e_ch = (
             len(members) * bits * e_elec
             + (len(members) + 1) * bits * e_da
-            + tx_hand(head.distance_to_bs)
+            + tx_hand(math.hypot(hx - 50.0, hy - 50.0))
         )
-        e_nch = sum(tx_hand(math.hypot(m.x - head.x, m.y - head.y)) for m in members)
+        e_nch = sum(tx_hand(math.hypot(x - hx, y - hy)) for x, y in members)
         assert before - metrics.residual_energy_j == pytest.approx(e_ch + e_nch, abs=1e-9)

@@ -12,6 +12,12 @@ A change that alters a single output byte fails here.  The cases cover
   sweep_e0     a sweep at e0=0.05, where every network dies before the cap,
                so runs end at different rounds and mean_curves.csv pads.
 A deliberate output format change must re-pin these digests and say why.
+
+IN_MEMORY pins the exact repr of the run totals that no output file
+carries, for every run of the defaults and n10000 cases; they were taken
+before the engine moved from node objects to arrays.  Criterion 6 checks the
+dissipation ledger only to 1e-9 J, so the order in which the ledger, the
+residual and the distance sums are added up is guarded here.
 """
 
 import hashlib
@@ -19,6 +25,8 @@ import hashlib
 import pytest
 
 from wsnsim.cli import main
+from wsnsim.engine import run
+from wsnsim.model import ProtocolKind, SimConfig
 
 CASES = {
     "defaults": ["compare", "--seeds", "1..2", "--max-rounds", "1000"],
@@ -119,3 +127,52 @@ def test_outputs_match_golden_digests(case, tmp_path):
         if path.is_file()
     }
     assert digests == GOLDEN[case]
+
+
+RUN_CONFIGS = {"defaults": {"max_rounds": 1000}, "n10000": {"n": 10000, "max_rounds": 3}}
+
+# (energy_dissipated_j, initial_energy_j, d_avg, mean_member_to_head_m,
+#  mean_head_to_bs_m) of each run, keyed by (case, protocol, seed)
+IN_MEMORY = {
+    ("defaults", "leach", 1): (
+        "(8.200754501307932, 75.0, 37.33946843789477, 18.712037323403177, 37.33946843789481)"
+    ),
+    ("defaults", "leach", 2): (
+        "(8.238590288890059, 75.0, 39.08115457221654, 18.7628069746815, 39.08115457221663)"
+    ),
+    ("defaults", "sep", 1): (
+        "(8.188706032294151, 75.0, 37.33946843789477, 18.75714546773084, 38.05278635593383)"
+    ),
+    ("defaults", "sep", 2): (
+        "(8.298984186642558, 75.0, 39.08115457221654, 19.107715566701675, 39.07659159023867)"
+    ),
+    ("defaults", "dbcp", 1): (
+        "(9.097842114423742, 75.0, 37.33946843789477, 22.88907108546919, 40.16404308201749)"
+    ),
+    ("defaults", "dbcp", 2): (
+        "(8.776279239294253, 75.0, 39.08115457221654, 21.389260722243606, 40.62178507864085)"
+    ),
+    ("n10000", "leach", 1): (
+        "(1.9451866074479984, 7500.0, 38.323956731185916, 1.5971111403156548, 38.52277718748621)"
+    ),
+    ("n10000", "sep", 1): (
+        "(1.9449298163756896, 7500.0, 38.323956731185916, 1.5888369536907458, 38.49953047881428)"
+    ),
+    ("n10000", "dbcp", 1): (
+        "(1.9342523248760835, 7500.0, 38.323956731185916, 2.1715636606809907, 42.36268487882174)"
+    ),
+}
+
+
+@pytest.mark.parametrize("case, protocol, seed", sorted(IN_MEMORY))
+def test_in_memory_totals_match_pins(case, protocol, seed):
+    config = SimConfig(protocol=ProtocolKind(protocol), seed=seed, **RUN_CONFIGS[case])
+    result = run(config)
+    totals = (
+        result.energy_dissipated_j,
+        result.initial_energy_j,
+        result.d_avg,
+        result.mean_member_to_head_m,
+        result.mean_head_to_bs_m,
+    )
+    assert repr(totals) == IN_MEMORY[(case, protocol, seed)]

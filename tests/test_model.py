@@ -99,23 +99,27 @@ class TestTierCounts:
         assert n_normal + n_advanced + n_super == n
 
 
+def tiers_of(nodes):
+    return [list(NodeTier)[t] for t in nodes.tier.tolist()]
+
+
 class TestDeploy:
     def test_deterministic(self):
         config = SimConfig(n=50, seed=9)
         a = deploy(config, random.Random(config.seed))
         b = deploy(config, random.Random(config.seed))
-        assert a == b
+        for name in ("x", "y", "d_bs", "tier", "energy"):
+            assert getattr(a, name).tolist() == getattr(b, name).tolist()
 
     def test_positions_inside_field(self):
         config = SimConfig(n=200, field_width=60.0, field_height=40.0, seed=2)
-        for node in deploy(config, random.Random(config.seed)):
-            assert 0.0 <= node.x <= 60.0
-            assert 0.0 <= node.y <= 40.0
+        nodes = deploy(config, random.Random(config.seed))
+        assert ((0.0 <= nodes.x) & (nodes.x <= 60.0)).all()
+        assert ((0.0 <= nodes.y) & (nodes.y <= 40.0)).all()
 
     def test_tier_blocks_ordered_by_id(self):
         config = SimConfig(n=100, seed=4)
-        nodes = deploy(config, random.Random(config.seed))
-        tiers = [n.tier for n in nodes]
+        tiers = tiers_of(deploy(config, random.Random(config.seed)))
         assert tiers[:10] == [NodeTier.SUPER] * 10
         assert tiers[10:20] == [NodeTier.ADVANCED] * 10
         assert tiers[20:] == [NodeTier.NORMAL] * 80
@@ -124,29 +128,25 @@ class TestDeploy:
         config = SimConfig(n=100, seed=4)
         nodes = deploy(config, random.Random(config.seed))
         by_tier = {NodeTier.SUPER: 2.0, NodeTier.ADVANCED: 1.5, NodeTier.NORMAL: 0.5}
-        for node in nodes:
-            assert node.initial_energy == by_tier[node.tier]
-            assert node.residual_energy == node.initial_energy
-            assert node.alive
+        assert nodes.energy.tolist() == [by_tier[t] for t in tiers_of(nodes)]
 
     def test_total_energy_default_config(self):
         # 80*0.5 + 10*1.5 + 10*2.0
         config = SimConfig()
         nodes = deploy(config, random.Random(1))
-        assert sum(n.initial_energy for n in nodes) == 75.0
+        assert sum(nodes.energy.tolist()) == 75.0
 
     def test_single_normal_node(self):
         config = SimConfig(n=1, hetero=hetero(m=0.0, m0=0.0))
-        (node,) = deploy(config, random.Random(0))
-        assert node.tier is NodeTier.NORMAL
-        assert node.initial_energy == 0.5
+        nodes = deploy(config, random.Random(0))
+        assert tiers_of(nodes) == [NodeTier.NORMAL]
+        assert nodes.energy.tolist() == [0.5]
 
     def test_distance_to_bs_precomputed(self):
         config = SimConfig(n=30, seed=7)
-        for node in deploy(config, random.Random(config.seed)):
-            assert node.distance_to_bs == pytest.approx(
-                math.hypot(node.x - 50.0, node.y - 50.0), rel=1e-12
-            )
+        nodes = deploy(config, random.Random(config.seed))
+        for x, y, d in zip(nodes.x.tolist(), nodes.y.tolist(), nodes.d_bs.tolist()):
+            assert d == math.hypot(x - 50.0, y - 50.0)
 
     @given(
         n=st.integers(min_value=1, max_value=120),
@@ -154,11 +154,11 @@ class TestDeploy:
     )
     def test_tier_population_matches_counts(self, n, seed):
         config = SimConfig(n=n, seed=seed)
-        nodes = deploy(config, random.Random(seed))
+        tiers = tiers_of(deploy(config, random.Random(seed)))
         n_normal, n_advanced, n_super = tier_counts(n, config.hetero)
-        assert sum(1 for x in nodes if x.tier is NodeTier.NORMAL) == n_normal
-        assert sum(1 for x in nodes if x.tier is NodeTier.ADVANCED) == n_advanced
-        assert sum(1 for x in nodes if x.tier is NodeTier.SUPER) == n_super
+        assert tiers.count(NodeTier.NORMAL) == n_normal
+        assert tiers.count(NodeTier.ADVANCED) == n_advanced
+        assert tiers.count(NodeTier.SUPER) == n_super
 
 
 def test_closed_form_total_matches_deployed_sum_binary_fractions():
@@ -169,7 +169,7 @@ def test_closed_form_total_matches_deployed_sum_binary_fractions():
     config = SimConfig(n=8, hetero=h)
     nodes = deploy(config, random.Random(5))
     closed = config.n * h.e0 * (1.0 + h.a * (h.m - h.m0) + h.m0 * h.b)
-    assert sum(n.initial_energy for n in nodes) == closed == 6.5
+    assert sum(nodes.energy.tolist()) == closed == 6.5
 
 
 def test_radio_params_frozen_defaults():

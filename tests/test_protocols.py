@@ -1,285 +1,252 @@
 """Protocol strategies and cluster formation.
 
-The replay test re-derives every election decision from threshold_for with a
-fresh rng stream; elect_heads carries an inlined copy of the same math, and
-the two must agree draw for draw.
+The replay test re-derives every election decision from a scalar reference
+of the threshold rule written out below, with a fresh rng stream; elect_heads
+evaluates the same rule on arrays, and the two must agree draw for draw.
 """
 
+import math
 import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wsnsim.election import (
-    EligibilityState,
-    epoch_length,
-    sep_threshold,
-    weighted_probabilities,
-)
+from wsnsim import protocols
+from wsnsim.election import epoch_length, sep_threshold, threshold, weighted_probabilities
+from wsnsim.engine import initial_state
 from wsnsim.model import (
     HeterogeneityParams,
-    Node,
     NodeTier,
     ProtocolKind,
     SimConfig,
     deploy,
 )
-from wsnsim import protocols
-from wsnsim.protocols import (
-    FieldGeometry,
-    _nearest_dense,
-    _nearest_grid,
-    elect_heads,
-    eligibility_for,
-    form_clusters,
-    threshold_for,
-)
+from wsnsim.protocols import _nearest_dense, _nearest_grid, elect_heads, form_clusters
 
 P_OPT = 0.1
 HETERO = HeterogeneityParams(m=0.2, m0=0.1, a=2.0, b=3.0, e0=0.5)
 PROBS = weighted_probabilities(P_OPT, HETERO)
 
 
-def make_node(node_id, tier=NodeTier.NORMAL, x=0.0, y=0.0, d=30.0, alive=True):
-    return Node(
-        id=node_id,
-        x=x,
-        y=y,
-        tier=tier,
-        initial_energy=0.5,
-        residual_energy=0.5,
-        distance_to_bs=d,
-        alive=alive,
-    )
-
-
-def fresh_eligibility(protocol):
-    return eligibility_for(protocol, PROBS, P_OPT)
-
-
 def deployed_network(n=40, seed=13):
-    config = SimConfig(n=n, seed=seed)
-    nodes = deploy(config, random.Random(seed))
-    d_avg = sum(node.distance_to_bs for node in nodes) / len(nodes)
-    return nodes, d_avg
+    return deploy(SimConfig(n=n, seed=seed), random.Random(seed))
+
+
+def state_for(protocol, nodes, hetero=HETERO, p_opt=P_OPT):
+    config = SimConfig(n=len(nodes.x), protocol=protocol, hetero=hetero, p_opt=p_opt)
+    return initial_state(config, nodes)
+
+
+def thresholds_of(state, r):
+    """Every node's election threshold in round r, through the one rule."""
+    tier_thresholds = [sep_threshold(p, r) for p in state.rate]
+    return threshold(tier_thresholds, state.tier, state.factor, r >= state.eligible_from)
+
+
+def reference_threshold(protocol, tier, d, d_avg, r, eligible, probs=PROBS, p_opt=P_OPT):
+    """The election threshold of one node in plain floats: the rotating
+    threshold 1 / (1/p - r mod ceil(1/p)), with 1/p snapped to an integer
+    within 1e-9, clamped to 1; scaled by 1 - d/d_avg under dbcp for nodes
+    nearer than the average; 0 when not eligible.  Also returns the epoch."""
+    p = p_opt if protocol is ProtocolKind.LEACH else probs.for_tier(tier)
+    inv = 1.0 / p
+    if round(inv) >= 1 and abs(inv - round(inv)) <= 1e-9 * round(inv):
+        inv = float(round(inv))
+    epoch = math.ceil(inv)
+    if not eligible:
+        return 0.0, epoch
+    t = min(1.0, 1.0 / (inv - r % epoch))
+    if protocol is ProtocolKind.DBCP and d < d_avg:
+        t = t * (1.0 - d / d_avg)
+    return t, epoch
+
+
+class ReferenceElection:
+    """elect_heads written out node by node over Python floats."""
+
+    def __init__(self, protocol, nodes, rng):
+        self.protocol = protocol
+        self.nodes = nodes
+        self.d_avg = state_for(protocol, nodes).d_avg
+        self.eligible_from = {}
+        self.rng = rng
+
+    def elect(self, alive, r):
+        heads = []
+        for i in alive:
+            u = self.rng.random()
+            tier = list(NodeTier)[self.nodes.tier[i]]
+            t, epoch = reference_threshold(
+                self.protocol, tier, float(self.nodes.d_bs[i]), self.d_avg, r,
+                r >= self.eligible_from.get(i, 0),
+            )
+            if u < t:
+                heads.append(i)
+                self.eligible_from[i] = (r // epoch + 1) * epoch
+        return heads
 
 
 class TestEligibilityFor:
+    """Epoch lengths the election rule gives each tier."""
+
     def test_leach_uses_uniform_epoch(self):
-        state = fresh_eligibility(ProtocolKind.LEACH)
-        assert state.epochs == {tier: 10 for tier in NodeTier}
+        state = state_for(ProtocolKind.LEACH, deployed_network())
+        assert state.epoch.tolist() == [10, 10, 10]
 
     def test_tiered_epochs(self):
-        state = fresh_eligibility(ProtocolKind.SEP)
-        assert state.epochs[NodeTier.NORMAL] == epoch_length(PROBS.p_normal) == 15
-        assert state.epochs[NodeTier.ADVANCED] == 5
-        assert state.epochs[NodeTier.SUPER] == 4
+        state = state_for(ProtocolKind.SEP, deployed_network())
+        normal, advanced, super_ = state.epoch.tolist()
+        assert normal == epoch_length(PROBS.p_normal) == 15
+        assert advanced == 5
+        assert super_ == 4
 
     def test_dbcp_same_epochs_as_sep(self):
-        assert fresh_eligibility(ProtocolKind.DBCP).epochs == fresh_eligibility(
-            ProtocolKind.SEP
-        ).epochs
+        nodes = deployed_network()
+        dbcp = state_for(ProtocolKind.DBCP, nodes).epoch
+        assert dbcp.tolist() == state_for(ProtocolKind.SEP, nodes).epoch.tolist()
+
+
+def threshold_of(make_deployment, protocol, tier, d, r=0, hetero=HETERO, p_opt=P_OPT):
+    """Round-r threshold of a node d m from the base station, in a network
+    whose average distance is 40 m: a partner node sits 80 - d m away."""
+    nodes = make_deployment([(50.0 + d, 50.0), (50.0, 130.0 - d)], [tier, NodeTier.NORMAL])
+    state = state_for(protocol, nodes, hetero=hetero, p_opt=p_opt)
+    assert state.d_avg == 40.0
+    return thresholds_of(state, r)[0]
 
 
 class TestThresholdFor:
-    def test_leach_ignores_tier(self):
-        node = make_node(0, NodeTier.ADVANCED)
-        t = threshold_for(
-            ProtocolKind.LEACH, node, 0, PROBS, P_OPT,
-            fresh_eligibility(ProtocolKind.LEACH), 40.0,
-        )
+    def test_leach_ignores_tier(self, make_deployment):
+        t = threshold_of(make_deployment, ProtocolKind.LEACH, NodeTier.ADVANCED, 30.0)
         assert t == pytest.approx(0.1, rel=1e-12)
 
-    def test_sep_super_tier(self):
-        node = make_node(0, NodeTier.SUPER)
-        t = threshold_for(
-            ProtocolKind.SEP, node, 0, PROBS, P_OPT,
-            fresh_eligibility(ProtocolKind.SEP), 40.0,
-        )
+    def test_sep_super_tier(self, make_deployment):
+        t = threshold_of(make_deployment, ProtocolKind.SEP, NodeTier.SUPER, 30.0)
         assert t == pytest.approx(0.266667, abs=1e-6)
 
-    def test_dbcp_scales_near_node(self):
-        node = make_node(0, NodeTier.NORMAL, d=20.0)
-        t = threshold_for(
-            ProtocolKind.DBCP, node, 0, PROBS, P_OPT,
-            fresh_eligibility(ProtocolKind.DBCP), 40.0,
-        )
+    def test_dbcp_scales_near_node(self, make_deployment):
+        t = threshold_of(make_deployment, ProtocolKind.DBCP, NodeTier.NORMAL, 20.0)
         assert t == pytest.approx(0.033333, abs=1e-6)
 
-    def test_dbcp_far_node_equals_sep(self):
-        far = make_node(0, NodeTier.NORMAL, d=60.0)
+    def test_dbcp_far_node_equals_sep(self, make_deployment):
         for r in range(20):
-            t_dbcp = threshold_for(
-                ProtocolKind.DBCP, far, r, PROBS, P_OPT,
-                fresh_eligibility(ProtocolKind.DBCP), 40.0,
-            )
-            t_sep = threshold_for(
-                ProtocolKind.SEP, far, r, PROBS, P_OPT,
-                fresh_eligibility(ProtocolKind.SEP), 40.0,
-            )
+            t_dbcp = threshold_of(make_deployment, ProtocolKind.DBCP, NodeTier.NORMAL, 60.0, r)
+            t_sep = threshold_of(make_deployment, ProtocolKind.SEP, NodeTier.NORMAL, 60.0, r)
             assert t_dbcp == t_sep
 
-    def test_sep_equals_leach_when_homogeneous(self):
+    def test_sep_equals_leach_when_homogeneous(self, make_deployment):
         # m = m0 = 0 collapses every tier probability onto p_opt
-        probs = weighted_probabilities(0.1, HeterogeneityParams(0.0, 0.0, 0.0, 0.0, 0.5))
-        node = make_node(0, NodeTier.NORMAL)
+        h = HeterogeneityParams(0.0, 0.0, 0.0, 0.0, 0.5)
         for r in range(25):
-            t_sep = threshold_for(
-                ProtocolKind.SEP, node, r, probs, 0.1,
-                eligibility_for(ProtocolKind.SEP, probs, 0.1), 40.0,
-            )
-            t_leach = threshold_for(
-                ProtocolKind.LEACH, node, r, probs, 0.1,
-                eligibility_for(ProtocolKind.LEACH, probs, 0.1), 40.0,
+            t_sep, t_leach = (
+                threshold_of(make_deployment, protocol, NodeTier.NORMAL, 30.0, r, hetero=h)
+                for protocol in (ProtocolKind.SEP, ProtocolKind.LEACH)
             )
             assert t_sep == t_leach
 
     def test_ineligible_node_threshold_zero(self):
-        state = fresh_eligibility(ProtocolKind.SEP)
-        node = make_node(0, NodeTier.NORMAL)
-        state.mark_elected(node, 0)
-        assert threshold_for(ProtocolKind.SEP, node, 1, PROBS, P_OPT, state, 40.0) == 0.0
+        state = state_for(ProtocolKind.SEP, deployed_network(n=3))
+        state.eligible_from[0] = 15  # as if elected in round 0
+        t = thresholds_of(state, 1)
+        assert t[0] == 0.0
+        assert (t[1:] > 0.0).all()
 
 
 class TestElectHeads:
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
     def test_deterministic(self, protocol):
-        nodes, d_avg = deployed_network()
-        heads_a = elect_heads(
-            protocol, nodes, 0, PROBS, P_OPT, fresh_eligibility(protocol), d_avg,
-            random.Random(42),
-        )
-        heads_b = elect_heads(
-            protocol, nodes, 0, PROBS, P_OPT, fresh_eligibility(protocol), d_avg,
-            random.Random(42),
-        )
+        nodes = deployed_network()
+        a, b = state_for(protocol, nodes), state_for(protocol, nodes)
+        heads_a = elect_heads(a, a.alive, 0, random.Random(42)).tolist()
+        heads_b = elect_heads(b, b.alive, 0, random.Random(42)).tolist()
         assert heads_a == heads_b == sorted(heads_a)
 
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
     def test_replays_threshold_for_exactly(self, protocol):
-        """Dual route: one uniform per alive node in id order, head iff
-        u < threshold_for.  Must match elect_heads bit for bit across rounds,
-        including the eligibility bookkeeping that election mutates."""
-        nodes, d_avg = deployed_network(n=60, seed=29)
-        state = fresh_eligibility(protocol)
-        shadow = fresh_eligibility(protocol)
+        """Dual route: one uniform per alive node in id order, head iff u is
+        below the scalar reference threshold.  Must match elect_heads bit for
+        bit across rounds, including the eligibility bookkeeping that
+        election mutates."""
+        nodes = deployed_network(n=60, seed=29)
+        state = state_for(protocol, nodes)
+        reference = ReferenceElection(protocol, nodes, random.Random(7))
         rng = random.Random(7)
-        shadow_rng = random.Random(7)
         for r in range(40):
-            heads = elect_heads(protocol, nodes, r, PROBS, P_OPT, state, d_avg, rng)
-            expected = []
-            for node in nodes:
-                if not node.alive:
-                    continue
-                u = shadow_rng.random()
-                t = threshold_for(protocol, node, r, PROBS, P_OPT, shadow, d_avg)
-                if u < t:
-                    expected.append(node.id)
-            for head_id in expected:
-                shadow.mark_elected(nodes[head_id], r)
-            assert heads == expected
+            heads = elect_heads(state, state.alive, r, rng)
+            assert heads.tolist() == reference.elect(range(60), r)
 
     def test_all_ineligible_yields_no_heads_but_consumes_draws(self):
-        nodes, d_avg = deployed_network(n=10, seed=3)
-        state = fresh_eligibility(ProtocolKind.SEP)
-        for node in nodes:
-            state.eligible_from[node.id] = 10**9
+        state = state_for(ProtocolKind.SEP, deployed_network(n=10, seed=3))
+        state.eligible_from[:] = 10**9
         rng = random.Random(5)
-        assert elect_heads(ProtocolKind.SEP, nodes, 0, PROBS, P_OPT, state, 40.0, rng) == []
+        assert elect_heads(state, state.alive, 0, rng).tolist() == []
         # one draw per alive node must have been consumed regardless
         reference = random.Random(5)
         for _ in range(10):
             reference.random()
         assert rng.random() == reference.random()
 
-    def test_certain_election_at_epoch_end(self):
+    def test_certain_election_at_epoch_end(self, make_deployment):
         # last round of the LEACH epoch: an eligible survivor has threshold 1
-        nodes = [make_node(0), make_node(1)]
-        state = eligibility_for(ProtocolKind.LEACH, PROBS, 0.1)
+        state = state_for(ProtocolKind.LEACH, make_deployment([(0.0, 0.0), (0.0, 0.0)]))
         state.eligible_from[1] = 10**9
-        heads = elect_heads(
-            ProtocolKind.LEACH, nodes, 9, PROBS, 0.1, state, 40.0, random.Random(0)
-        )
-        assert heads == [0]
+        assert elect_heads(state, state.alive, 9, random.Random(0)).tolist() == [0]
 
     def test_dead_nodes_never_elected_and_draw_nothing(self):
-        nodes, d_avg = deployed_network(n=12, seed=8)
-        nodes[4].alive = False
-        alive_only = [n for n in nodes if n.alive]
-        heads_with_dead = elect_heads(
-            ProtocolKind.SEP, nodes, 0, PROBS, P_OPT,
-            fresh_eligibility(ProtocolKind.SEP), d_avg, random.Random(21),
-        )
-        heads_alive_only = elect_heads(
-            ProtocolKind.SEP, alive_only, 0, PROBS, P_OPT,
-            fresh_eligibility(ProtocolKind.SEP), d_avg, random.Random(21),
-        )
-        assert heads_with_dead == heads_alive_only
-        assert 4 not in heads_with_dead
+        nodes = deployed_network(n=12, seed=8)
+        state = state_for(ProtocolKind.SEP, nodes)
+        alive = np.array([i for i in range(12) if i != 4])
+        rng = random.Random(21)
+        heads = elect_heads(state, alive, 0, rng).tolist()
+        reference = ReferenceElection(ProtocolKind.SEP, nodes, random.Random(21))
+        assert heads == reference.elect(alive.tolist(), 0)
+        assert 4 not in heads
+        assert rng.random() == reference.rng.random()  # 11 draws each
 
     def test_elected_nodes_marked_ineligible(self):
-        nodes, d_avg = deployed_network(n=50, seed=2)
-        state = fresh_eligibility(ProtocolKind.SEP)
-        heads = elect_heads(
-            ProtocolKind.SEP, nodes, 0, PROBS, P_OPT, state, d_avg, random.Random(1)
-        )
-        assert heads  # seed chosen so the round elects someone
-        for head_id in heads:
-            assert not state.is_eligible(nodes[head_id], 1)
+        state = state_for(ProtocolKind.SEP, deployed_network(n=50, seed=2))
+        heads = elect_heads(state, state.alive, 0, random.Random(1))
+        assert len(heads)  # seed chosen so the round elects someone
+        assert (state.eligible_from[heads] > 1).all()
+
+
+def clusters(make_deployment, coords, alive, heads):
+    nodes = make_deployment(coords)
+    return form_clusters(np.array(alive), np.array(heads, dtype=np.intp), nodes.x, nodes.y)
 
 
 class TestFormClusters:
-    def test_single_head_takes_everyone(self):
-        nodes = [make_node(i, x=float(i), y=0.0) for i in range(6)]
-        assignment = form_clusters(nodes, [2])
-        assert [c.head_id for c in assignment.clusters] == [2]
-        assert sorted(assignment.clusters[0].member_ids) == [0, 1, 3, 4, 5]
-        assert assignment.unclustered == []
+    def test_single_head_takes_everyone(self, make_deployment):
+        coords = [(float(i), 0.0) for i in range(6)]
+        members, head_of = clusters(make_deployment, coords, range(6), [2])
+        assert members.tolist() == [0, 1, 3, 4, 5]
+        assert head_of.tolist() == [0] * 5
 
-    def test_equidistant_tie_goes_to_lower_head_id(self):
-        nodes = [
-            make_node(0, x=0.0, y=0.0),   # the contested member
-            make_node(3, x=2.0, y=0.0),
-            make_node(7, x=-2.0, y=0.0),
-        ]
-        assignment = form_clusters(nodes, [7, 3])
-        by_head = {c.head_id: c.member_ids for c in assignment.clusters}
-        assert by_head[3] == [0]
-        assert by_head[7] == []
+    def test_equidistant_tie_goes_to_lower_head_id(self, make_deployment):
+        coords = [(100.0, 100.0)] * 8
+        coords[0], coords[3], coords[7] = (0.0, 0.0), (2.0, 0.0), (-2.0, 0.0)
+        members, head_of = clusters(make_deployment, coords, [0, 3, 7], [3, 7])
+        assert members.tolist() == [0]
+        assert head_of.tolist() == [0]  # head 3, not head 7
 
-    def test_zero_heads_leaves_all_unclustered(self):
-        nodes = [make_node(i) for i in range(5)]
-        assignment = form_clusters(nodes, [])
-        assert assignment.clusters == []
-        assert assignment.unclustered == [0, 1, 2, 3, 4]
+    def test_zero_heads_leaves_all_unclustered(self, make_deployment):
+        members, head_of = clusters(make_deployment, [(0.0, 0.0)] * 5, range(5), [])
+        assert members.tolist() == [0, 1, 2, 3, 4]
+        assert head_of is None
 
-    def test_nearest_assignment(self):
-        nodes = [
-            make_node(0, x=0.0, y=0.0),
-            make_node(1, x=10.0, y=0.0),
-            make_node(2, x=1.0, y=1.0),
-            make_node(3, x=9.0, y=1.0),
-        ]
-        assignment = form_clusters(nodes, [0, 1])
-        by_head = {c.head_id: c.member_ids for c in assignment.clusters}
-        assert by_head[0] == [2]
-        assert by_head[1] == [3]
+    def test_nearest_assignment(self, make_deployment):
+        coords = [(0.0, 0.0), (10.0, 0.0), (1.0, 1.0), (9.0, 1.0)]
+        members, head_of = clusters(make_deployment, coords, range(4), [0, 1])
+        assert members.tolist() == [2, 3]
+        assert head_of.tolist() == [0, 1]
 
-    def test_dead_nodes_excluded(self):
-        nodes = [make_node(i, x=float(i)) for i in range(4)]
-        nodes[3].alive = False
-        assignment = form_clusters(nodes, [0])
-        assert 3 not in assignment.clusters[0].member_ids
-        no_heads = form_clusters(nodes, [])
-        assert 3 not in no_heads.unclustered
-
-    def test_cached_geometry_matches_ad_hoc(self):
-        nodes, _ = deployed_network(n=30, seed=5)
-        geometry = FieldGeometry(nodes)
-        a = form_clusters(nodes, [1, 8, 15], geometry)
-        b = form_clusters(nodes, [1, 8, 15], None)
-        assert a == b
+    def test_dead_nodes_excluded(self, make_deployment):
+        coords = [(float(i), 0.0) for i in range(4)]
+        members, _ = clusters(make_deployment, coords, [0, 1, 2], [0])
+        assert members.tolist() == [1, 2]
+        unclustered, _ = clusters(make_deployment, coords, [0, 1, 2], [])
+        assert unclustered.tolist() == [0, 1, 2]
 
     @given(
         seed=st.integers(min_value=0, max_value=10**6),
@@ -287,47 +254,35 @@ class TestFormClusters:
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_partition_property(self, seed, n, data):
-        """Every alive node lands in exactly one bucket."""
+    def test_partition_property(self, make_deployment, seed, n, data):
+        """Every alive node is a head, a member of exactly one head, or (only
+        without heads) unclustered."""
         rng = random.Random(seed)
-        nodes = [
-            make_node(i, x=rng.uniform(0, 100), y=rng.uniform(0, 100)) for i in range(n)
-        ]
-        for node in nodes:
-            node.alive = rng.random() < 0.9
-        alive_ids = [node.id for node in nodes if node.alive]
-        heads = data.draw(st.lists(st.sampled_from(alive_ids), unique=True)) if alive_ids else []
-        assignment = form_clusters(nodes, heads)
-        seen = list(assignment.unclustered)
-        for cluster in assignment.clusters:
-            seen.append(cluster.head_id)
-            seen.extend(cluster.member_ids)
-        assert sorted(seen) == sorted(alive_ids)
+        coords = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)]
+        alive = [i for i in range(n) if rng.random() < 0.9]
+        heads = sorted(data.draw(st.lists(st.sampled_from(alive), unique=True))) if alive else []
+        members, head_of = clusters(make_deployment, coords, alive, heads)
+        assert sorted(members.tolist() + heads) == alive
         if heads:
-            assert assignment.unclustered == []
-            assert [c.head_id for c in assignment.clusters] == sorted(heads)
+            assert len(head_of) == len(members)
+            assert set(head_of.tolist()) <= set(range(len(heads)))
+        else:
+            assert head_of is None
 
     @given(seed=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
-    def test_members_join_nearest_head(self, seed):
+    def test_members_join_nearest_head(self, make_deployment, seed):
         rng = random.Random(seed)
-        nodes = [
-            make_node(i, x=rng.uniform(0, 100), y=rng.uniform(0, 100)) for i in range(25)
-        ]
+        coords = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(25)]
         heads = [0, 7, 19]
-        assignment = form_clusters(nodes, heads)
-        head_pos = {h: (nodes[h].x, nodes[h].y) for h in heads}
-        for cluster in assignment.clusters:
-            for mid in cluster.member_ids:
-                member = nodes[mid]
-                d_own = (member.x - head_pos[cluster.head_id][0]) ** 2 + (
-                    member.y - head_pos[cluster.head_id][1]
-                ) ** 2
-                for other in heads:
-                    d_other = (member.x - head_pos[other][0]) ** 2 + (
-                        member.y - head_pos[other][1]
-                    ) ** 2
-                    assert d_own <= d_other
+        members, head_of = clusters(make_deployment, coords, range(25), heads)
+
+        def d2(a, b):
+            return (coords[a][0] - coords[b][0]) ** 2 + (coords[a][1] - coords[b][1]) ** 2
+
+        for member, k in zip(members.tolist(), head_of.tolist()):
+            for other in heads:
+                assert d2(member, heads[k]) <= d2(member, other)
 
 
 @st.composite
@@ -391,12 +346,14 @@ class TestNearestHeadSearch:
         assert rescored == [7]
 
     def test_form_clusters_same_on_either_path(self, monkeypatch):
-        nodes, _ = deployed_network(n=2000, seed=4)
-        heads = list(range(0, 2000, 10))
+        nodes = deployed_network(n=2000, seed=4)
+        alive, heads = np.arange(2000), np.arange(0, 2000, 10)
         monkeypatch.setattr(protocols, "GRID_MIN_PAIRS", float("inf"))
-        dense = form_clusters(nodes, heads)
+        members, dense = form_clusters(alive, heads, nodes.x, nodes.y)
         monkeypatch.setattr(protocols, "GRID_MIN_PAIRS", 0)
-        assert form_clusters(nodes, heads) == dense
+        members_grid, grid = form_clusters(alive, heads, nodes.x, nodes.y)
+        assert members_grid.tolist() == members.tolist()
+        assert grid.tolist() == dense.tolist()
 
 
 class TestProtocolDegeneracies:
@@ -404,30 +361,25 @@ class TestProtocolDegeneracies:
         """m = m0 = 0: same probabilities, same epochs, same rng consumption,
         so the two protocols elect identical head sequences."""
         h = HeterogeneityParams(m=0.0, m0=0.0, a=0.0, b=0.0, e0=0.5)
-        probs = weighted_probabilities(0.1, h)
         config = SimConfig(n=30, seed=6, hetero=h)
+        nodes = deploy(config, random.Random(config.seed))
         sequences = {}
         for protocol in (ProtocolKind.LEACH, ProtocolKind.SEP):
-            nodes = deploy(config, random.Random(config.seed))
-            d_avg = sum(n.distance_to_bs for n in nodes) / len(nodes)
-            state = eligibility_for(protocol, probs, 0.1)
+            state = state_for(protocol, nodes, hetero=h)
             rng = random.Random(99)
             sequences[protocol] = [
-                elect_heads(protocol, nodes, r, probs, 0.1, state, d_avg, rng)
-                for r in range(60)
+                elect_heads(state, state.alive, r, rng).tolist() for r in range(60)
             ]
         assert sequences[ProtocolKind.LEACH] == sequences[ProtocolKind.SEP]
 
-    def test_dbcp_equals_sep_when_all_nodes_far(self):
-        # co-located cluster beyond the pinned average distance
-        nodes = [make_node(i, x=90.0, y=90.0, d=56.6) for i in range(10)]
-        probs = PROBS
+    def test_dbcp_equals_sep_when_all_nodes_far(self, make_deployment):
+        # co-located nodes all sit at the average distance, none nearer
+        nodes = make_deployment([(90.0, 90.0)] * 10)
         results = {}
         for protocol in (ProtocolKind.SEP, ProtocolKind.DBCP):
-            state = eligibility_for(protocol, probs, P_OPT)
+            state = state_for(protocol, nodes)
             rng = random.Random(4)
             results[protocol] = [
-                elect_heads(protocol, nodes, r, probs, P_OPT, state, 40.0, rng)
-                for r in range(30)
+                elect_heads(state, state.alive, r, rng).tolist() for r in range(30)
             ]
         assert results[ProtocolKind.SEP] == results[ProtocolKind.DBCP]
