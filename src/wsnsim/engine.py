@@ -26,9 +26,9 @@ from .radio import aggregation_energy, rx_energy, tx_energy
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class RoundMetrics:
-    """Per-round observables, sampled after deaths are applied.  `round` is 1-based."""
+class RoundMetrics(NamedTuple):
+    """Per-round observables, sampled after deaths are applied.  `round` is
+    1-based.  The fields, in order, are the series CSV header."""
 
     round: int
     alive_total: int
@@ -41,11 +41,11 @@ class RoundMetrics:
     residual_energy_j: float
 
 
-@dataclass(frozen=True)
-class SummaryMetrics:
+class SummaryMetrics(NamedTuple):
     """Lifecycle landmarks; each is None if the event never happened before
     the round cap.  fnd = first death, hnd = alive count at or below half the
-    deployment, lnd = last death."""
+    deployment, lnd = last death.  The fields, in order, end the summary CSV
+    header."""
 
     fnd_round: int | None
     hnd_round: int | None
@@ -197,19 +197,16 @@ def simulate_round(
     state.head_distance_sum += _sequential_sum(state.d_bs[heads])
     state.head_count_total += len(heads)
 
-    normal, advanced, super_ = state.alive_by_tier
     return RoundMetrics(
-        round=r + 1,
-        alive_total=len(state.alive),
-        alive_normal=normal,
-        alive_advanced=advanced,
-        alive_super=super_,
-        head_count=len(heads),
-        packets_to_bs_round=packets,
-        packets_to_bs_cum=state.packets_cum,
+        r + 1,
+        len(state.alive),
+        *state.alive_by_tier,
+        len(heads),
+        packets,
+        state.packets_cum,
         # dead nodes hold exactly 0.0, so summing every node adds nothing
         # to the alive nodes' sum in ascending id
-        residual_energy_j=_sequential_sum(state.energy),
+        _sequential_sum(state.energy),
     )
 
 
@@ -279,13 +276,7 @@ def run(config: SimConfig) -> RunResult:
     return RunResult(
         config=config,
         series=series,
-        summary=SummaryMetrics(
-            fnd_round=fnd,
-            hnd_round=hnd,
-            lnd_round=lnd,
-            total_packets=state.packets_cum,
-            rounds_simulated=len(series),
-        ),
+        summary=SummaryMetrics(fnd, hnd, lnd, state.packets_cum, len(series)),
         d_avg=state.d_avg,
         initial_energy_j=initial_energy,
         energy_dissipated_j=state.energy_dissipated,

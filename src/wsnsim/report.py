@@ -1,7 +1,11 @@
 """Aggregation over seed batches and CSV serialization.
 
-All numbers are serialized with Python's repr, which round-trips float64
-exactly; reading a series file back yields the in-memory values bit for bit.
+A series row is an engine.RoundMetrics and a summary row an
+engine.SummaryMetrics after the run's protocol and seed; both are written as
+they are, so their fields are the CSV headers.  No writer formats a number:
+csv.writer writes a Python float as its repr, the shortest string that
+round-trips float64 exactly, so reading a series file back yields the
+in-memory values bit for bit; it writes None as an empty cell.
 """
 
 from __future__ import annotations
@@ -9,34 +13,16 @@ from __future__ import annotations
 import csv
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .engine import RoundMetrics, RunResult
+from .engine import RoundMetrics, RunResult, SummaryMetrics
 from .model import ProtocolKind
 
-SERIES_COLUMNS = [
-    "round",
-    "alive_total",
-    "alive_normal",
-    "alive_advanced",
-    "alive_super",
-    "head_count",
-    "packets_to_bs_round",
-    "packets_to_bs_cum",
-    "residual_energy_j",
-]
+SERIES_COLUMNS = list(RoundMetrics._fields)
 
-SUMMARY_COLUMNS = [
-    "protocol",
-    "seed",
-    "fnd_round",
-    "hnd_round",
-    "lnd_round",
-    "total_packets",
-    "rounds_simulated",
-]
+SUMMARY_COLUMNS = ["protocol", "seed", *SummaryMetrics._fields]
 
 COMPARISON_COLUMNS = ["protocol", "metric", "mean", "stddev", "n_seeds"]
 
@@ -136,8 +122,7 @@ def aggregate(results: Sequence[RunResult]) -> ComparisonResult:
             k = len(run.series)
             alive[i, :k] = [m.alive_total for m in run.series]
             cum[i, :k] = [m.packets_to_bs_cum for m in run.series]
-            if k < longest:
-                cum[i, k:] = run.series[-1].packets_to_bs_cum if k else 0
+            cum[i, k:] = run.series[-1].packets_to_bs_cum
         aggregates.append(
             ProtocolAggregate(
                 protocol=proto,
@@ -161,101 +146,71 @@ def _write_rows(path, header: list[str], rows: Iterable[Iterable]) -> None:
 
 
 def write_series(series: Sequence[RoundMetrics], path) -> None:
-    _write_rows(
-        path,
-        SERIES_COLUMNS,
-        (
-            [
-                m.round,
-                m.alive_total,
-                m.alive_normal,
-                m.alive_advanced,
-                m.alive_super,
-                m.head_count,
-                m.packets_to_bs_round,
-                m.packets_to_bs_cum,
-                repr(m.residual_energy_j),
-            ]
-            for m in series
-        ),
-    )
+    _write_rows(path, SERIES_COLUMNS, series)
 
 
 def read_series(path) -> list[RoundMetrics]:
-    """Inverse of write_series; values round-trip exactly."""
-    out = []
+    """Inverse of write_series; values round-trip exactly.  Rows are read by
+    position, so a file whose header is not SERIES_COLUMNS is rejected."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                RoundMetrics(
-                    round=int(row["round"]),
-                    alive_total=int(row["alive_total"]),
-                    alive_normal=int(row["alive_normal"]),
-                    alive_advanced=int(row["alive_advanced"]),
-                    alive_super=int(row["alive_super"]),
-                    head_count=int(row["head_count"]),
-                    packets_to_bs_round=int(row["packets_to_bs_round"]),
-                    packets_to_bs_cum=int(row["packets_to_bs_cum"]),
-                    residual_energy_j=float(row["residual_energy_j"]),
-                )
-            )
-    return out
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header != SERIES_COLUMNS:
+            raise ValueError(f"{path}: series header {header} is not {SERIES_COLUMNS}")
+        # every field but the last (residual_energy_j) is an int
+        return [RoundMetrics(*map(int, row[:-1]), float(row[-1])) for row in rows]
 
 
 def write_summary(results: Sequence[RunResult], path) -> None:
     """One row per run; absent lifecycle events serialize as empty cells."""
-
-    def cell(value):
-        return "" if value is None else value
-
     _write_rows(
         path,
         SUMMARY_COLUMNS,
+        ([run.config.protocol.value, run.config.seed, *run.summary] for run in results),
+    )
+
+
+def _stats_rows(comparison: ComparisonResult) -> Iterator[tuple]:
+    """(aggregate, metric name, MetricStats) for every protocol and metric."""
+    for agg in comparison.protocols:
+        for metric in METRIC_NAMES:
+            yield agg, metric, agg.stats[metric]
+
+
+def write_comparison(comparison: ComparisonResult, path) -> None:
+    _write_rows(
+        path,
+        COMPARISON_COLUMNS,
         (
-            [
-                run.config.protocol.value,
-                run.config.seed,
-                cell(run.summary.fnd_round),
-                cell(run.summary.hnd_round),
-                cell(run.summary.lnd_round),
-                run.summary.total_packets,
-                run.summary.rounds_simulated,
-            ]
-            for run in results
+            [agg.protocol.value, metric, s.mean, s.stddev, agg.n_seeds]
+            for agg, metric, s in _stats_rows(comparison)
         ),
     )
 
 
-def write_comparison(comparison: ComparisonResult, path) -> None:
-    rows = []
-    for agg in comparison.protocols:
-        for metric in METRIC_NAMES:
-            s = agg.stats[metric]
-            rows.append(
-                [agg.protocol.value, metric, repr(s.mean), repr(s.stddev), agg.n_seeds]
-            )
-    _write_rows(path, COMPARISON_COLUMNS, rows)
-
-
 def write_mean_curves(comparison: ComparisonResult, path) -> None:
     """Long-format per-round mean alive/cumulative-packet curves."""
-    rows = []
-    for agg in comparison.protocols:
-        for i, (alive, cum) in enumerate(zip(agg.alive_mean, agg.packets_cum_mean)):
-            rows.append([agg.protocol.value, i + 1, repr(alive), repr(cum)])
-    _write_rows(path, ["protocol", "round", "alive_mean", "packets_cum_mean"], rows)
+    _write_rows(
+        path,
+        ["protocol", "round", "alive_mean", "packets_cum_mean"],
+        (
+            [agg.protocol.value, i + 1, alive, cum]
+            for agg in comparison.protocols
+            for i, (alive, cum) in enumerate(zip(agg.alive_mean, agg.packets_cum_mean))
+        ),
+    )
 
 
 def write_sweep(
     entries: Sequence[tuple[float, ComparisonResult]], path
 ) -> None:
     """Flatten (param value, comparison) pairs into the sweep CSV."""
-    rows = []
-    for value, comparison in entries:
-        for agg in comparison.protocols:
-            for metric in METRIC_NAMES:
-                s = agg.stats[metric]
-                rows.append(
-                    [repr(value), agg.protocol.value, metric, repr(s.mean), repr(s.stddev)]
-                )
-    _write_rows(path, SWEEP_COLUMNS, rows)
+    _write_rows(
+        path,
+        SWEEP_COLUMNS,
+        (
+            [value, agg.protocol.value, metric, s.mean, s.stddev]
+            for value, comparison in entries
+            for agg, metric, s in _stats_rows(comparison)
+        ),
+    )

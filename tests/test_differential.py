@@ -1,0 +1,113 @@
+"""Differential oracle: engine.run against the frozen seed copy.
+
+wsnbench/seed/wsnsim is a copy of the simulator taken before any of its
+refactors, kept from drifting by wsnbench/pins.json.  No refactor since has
+meant to change an output, so on every config both packages must give the same
+series and summary, the same in-memory totals to the last bit, and, for a
+config that cannot run, the same ValueError.  The copy is loaded by file path
+under another package name and is only read.
+
+Configs are drawn from the space the engine has to get right: 1 to 250 nodes,
+no super tier or all advanced nodes super, equal or distinct energy
+multipliers, base energies small enough that most networks die, p_opt up to
+and past the per-tier limit, thin fields, base stations inside or outside the
+field, and a fixed crossover distance.
+"""
+
+import dataclasses
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from wsnsim import cli, engine
+
+SEED_COPY = Path(__file__).resolve().parents[1] / "wsnbench" / "seed" / "wsnsim"
+
+
+def _load_seed_copy():
+    name = "wsnsim_seed_copy"
+    spec = importlib.util.spec_from_file_location(
+        name, SEED_COPY / "__init__.py", submodule_search_locations=[str(SEED_COPY)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(package)
+        return importlib.import_module(name + ".cli"), importlib.import_module(name + ".engine")
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+
+
+SEED_CLI, SEED_ENGINE = _load_seed_copy()
+
+TOTALS = (
+    "d_avg",
+    "initial_energy_j",
+    "energy_dissipated_j",
+    "mean_member_to_head_m",
+    "mean_head_to_bs_m",
+)
+
+
+@st.composite
+def overrides(draw) -> dict:
+    m = draw(st.floats(0.0, 1.0))
+    m0 = draw(st.one_of(st.sampled_from([0.0, m]), st.floats(0.0, m)))
+    a = draw(st.floats(0.0, 4.0))
+    b = draw(st.one_of(st.just(a), st.floats(a, 6.0)))
+    # the super tier's rate p_opt(1+b)/denom reaches 1 at this p_opt
+    limit = (1.0 + a * (m - m0) + b * m0) / (1.0 + b)
+    p_opt = min(limit * draw(st.floats(0.01, 1.1)), 0.999)
+    width = draw(st.floats(1.0, 300.0))
+    off_field = st.one_of(st.none(), st.floats(-300.0, 600.0))
+    return {
+        "n": draw(st.integers(1, 250)),
+        "field_width": width,
+        "field_height": draw(st.one_of(st.just(1.0), st.just(width), st.floats(1.0, 300.0))),
+        "bs_x": draw(off_field),
+        "bs_y": draw(off_field),
+        "p_opt": p_opt,
+        "d0_override": draw(st.one_of(st.none(), st.floats(1.0, 200.0))),
+        "m": m,
+        "m0": m0,
+        "a": a,
+        "b": b,
+        "e0": draw(st.floats(0.001, 0.05)),
+        "protocol": draw(st.sampled_from(["leach", "sep", "dbcp"])),
+        "seed": draw(st.integers(0, 2**32)),
+        "max_rounds": draw(st.integers(1, 2000)),
+    }
+
+
+def _outcome(config_parser, run, values: dict):
+    """The run of `values` through one package, or its ValueError's text."""
+    try:
+        return run(config_parser(None, values))
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(
+    max_examples=170,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(overrides())
+def test_engine_matches_seed_copy(values):
+    mine = _outcome(cli.parse_config, engine.run, values)
+    seed = _outcome(SEED_CLI.parse_config, SEED_ENGINE.run, values)
+    if isinstance(mine, str) or isinstance(seed, str):
+        assert mine == seed
+        return
+    assert [tuple(row) for row in mine.series] == [
+        dataclasses.astuple(row) for row in seed.series
+    ]
+    assert tuple(mine.summary) == dataclasses.astuple(seed.summary)
+    for name in TOTALS:
+        assert repr(getattr(mine, name)) == repr(getattr(seed, name)), name

@@ -8,6 +8,7 @@ station pays 2.0e-5 (rx) + 4.0e-5 (fusing two signals) + 5.6e-5 (tx)
 """
 
 import math
+import pickle
 import random
 
 import numpy as np
@@ -278,6 +279,26 @@ class TestRun:
         full_mean = total / config.n
         assert result.summary.fnd_round is not None
         assert result.d_avg == full_mean
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SimConfig(n=30, seed=3, hetero=HeterogeneityParams(0.2, 0.1, 2.0, 3.0, 0.05)),
+            SimConfig(n=30, seed=3, max_rounds=50),
+        ],
+        ids=["network_dies", "capped"],
+    )
+    def test_record_types(self, config):
+        # the CSV writers and the bench counters take the records as they are:
+        # plain Python ints and floats, never numpy scalars
+        result = engine.run(config)
+        assert (result.summary.lnd_round is None) == (config.max_rounds == 50)
+        for row in result.series:
+            *counts, residual = row
+            assert all(type(v) is int for v in counts)
+            assert type(residual) is float
+        assert all(v is None or type(v) is int for v in result.summary)
+        assert pickle.loads(pickle.dumps(result)) == result
 
 
 class TestSingleClusterClosedForm:

@@ -102,6 +102,18 @@ class TestSeriesSerialization:
         write_series(series, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_read_rejects_reordered_header(self, tmp_path):
+        # rows are read by position, so a permuted header must not load
+        path = tmp_path / "swapped.csv"
+        write_series([metrics_row(1, alive=4)], path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        swapped = [[row[1], row[0], *row[2:]] for row in rows]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(swapped)
+        with pytest.raises(ValueError, match="swapped.csv"):
+            read_series(path)
+
     def test_write_error_names_path(self, tmp_path):
         target = tmp_path / "missing_dir" / "series.csv"
         with pytest.raises(OSError, match="series.csv"):
