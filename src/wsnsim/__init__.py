@@ -11,10 +11,8 @@ from .election import (
 from .engine import RoundMetrics, RunResult, SummaryMetrics, run
 from .model import (
     Deployment,
-    HeterogeneityParams,
     NodeTier,
     ProtocolKind,
-    RadioParams,
     SimConfig,
     deploy,
     tier_counts,
@@ -33,10 +31,8 @@ __all__ = [
     "SummaryMetrics",
     "run",
     "Deployment",
-    "HeterogeneityParams",
     "NodeTier",
     "ProtocolKind",
-    "RadioParams",
     "SimConfig",
     "deploy",
     "tier_counts",

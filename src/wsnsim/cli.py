@@ -21,7 +21,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -33,44 +33,26 @@ from .radio import crossover_distance
 
 @dataclass(frozen=True)
 class ConfigKey:
-    """One key of the flat config: the SimConfig field it sets (directly, or
-    inside the `group` sub-dataclass), its value type, whether None is
-    allowed, and its default."""
+    """One key of the flat config: the SimConfig field it sets, its value
+    type, whether None is allowed, and its default."""
 
     name: str
-    group: str | None
     type: type
     optional: bool
     default: object
 
 
-_FIELD_TYPES = get_type_hints(SimConfig)
-
-
-def _config_key(name: str, group: str | None, hint: object, default: object) -> ConfigKey:
-    args = get_args(hint)  # (float, NoneType) for `float | None`, () for a plain type
-    if type(None) in args:
-        (value_type,) = [a for a in args if a is not type(None)]
-        return ConfigKey(name, group, value_type, True, default)
-    return ConfigKey(name, group, hint, False, default)
-
-
 def _schema() -> list[ConfigKey]:
-    """The flat config surface, read off the SimConfig fields in order, with
-    the fields of its dataclass-valued fields (radio, hetero) spliced in at
-    their position and their defaults taken from SimConfig's default."""
+    """The flat config surface: one key per SimConfig field, in order."""
+    hints = get_type_hints(SimConfig)
     keys = []
     for f in fields(SimConfig):
-        hint = _FIELD_TYPES[f.name]
-        if is_dataclass(hint):
-            sub_hints = get_type_hints(hint)
-            default = f.default_factory()
-            keys += [
-                _config_key(g.name, f.name, sub_hints[g.name], getattr(default, g.name))
-                for g in fields(hint)
-            ]
-        else:
-            keys.append(_config_key(f.name, None, hint, f.default))
+        value_type = hints[f.name]
+        args = get_args(value_type)  # (float, NoneType) for `float | None`, () for a plain type
+        optional = type(None) in args
+        if optional:
+            (value_type,) = [a for a in args if a is not type(None)]
+        keys.append(ConfigKey(f.name, value_type, optional, f.default))
     return keys
 
 
@@ -136,14 +118,7 @@ def _coerce(key: ConfigKey, value: object) -> object:
 
 
 def _build_config(values: dict) -> SimConfig:
-    kwargs: dict = {}
-    groups: dict[str, dict] = {}
-    for key in SCHEMA:
-        target = kwargs if key.group is None else groups.setdefault(key.group, {})
-        target[key.name] = _coerce(key, values[key.name])
-    for group, group_kwargs in groups.items():
-        kwargs[group] = _FIELD_TYPES[group](**group_kwargs)
-    return SimConfig(**kwargs)
+    return SimConfig(**{key.name: _coerce(key, values[key.name]) for key in SCHEMA})
 
 
 def config_to_dict(config: SimConfig) -> dict:
@@ -151,17 +126,16 @@ def config_to_dict(config: SimConfig) -> dict:
     identical SimConfig."""
     out = {}
     for key in SCHEMA:
-        owner = config if key.group is None else getattr(config, key.group)
-        value = getattr(owner, key.name)
+        value = getattr(config, key.name)
         out[key.name] = value.value if isinstance(value, Enum) else value
     return out
 
 
 def derived_values(config: SimConfig) -> dict:
-    n_normal, n_advanced, n_super = tier_counts(config.n, config.hetero)
-    probs = election.weighted_probabilities(config.p_opt, config.hetero)
+    n_normal, n_advanced, n_super = tier_counts(config)
+    probs = election.weighted_probabilities(config)
     return {
-        "effective_d0": crossover_distance(config.radio),
+        "effective_d0": crossover_distance(config),
         "n_normal": n_normal,
         "n_advanced": n_advanced,
         "n_super": n_super,
@@ -308,13 +282,9 @@ def _print_mean_table(comparison: report.ComparisonResult) -> None:
         f"{name + '_mean':>18}" for name in report.METRIC_NAMES
     )
     print(header)
-    for proto in PROTOCOL_ORDER:
-        try:
-            agg = comparison.for_protocol(proto)
-        except KeyError:
-            continue
+    for agg in comparison.protocols:
         cells = "".join(f"{agg.stats[m].mean:>18.2f}" for m in report.METRIC_NAMES)
-        print(f"{proto.value:<10}{cells}")
+        print(f"{agg.protocol.value:<10}{cells}")
 
 
 def _run_compare_batch(

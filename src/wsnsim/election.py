@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HeterogeneityParams, NodeTier
+from .model import NodeTier, SimConfig
 
 
 @dataclass(frozen=True)
@@ -33,25 +33,24 @@ class TierProbabilities:
         return self.p_super
 
 
-def weighted_probabilities(
-    p_opt: float, hetero: HeterogeneityParams
-) -> TierProbabilities:
-    """Split a target election rate p_opt into per-tier probabilities.
+def weighted_probabilities(config: SimConfig) -> TierProbabilities:
+    """Split the config's target election rate p_opt into per-tier
+    probabilities.
 
     Probabilities are weighted by each tier's extra energy so that the
     population-average probability stays exactly p_opt:
 
         (1-m)*p_n + (m-m0)*p_a + m0*p_s == p_opt
     """
-    denom = 1.0 + hetero.a * (hetero.m - hetero.m0) + hetero.b * hetero.m0
-    p_n = p_opt / denom
-    p_a = p_n * (1.0 + hetero.a)
-    p_s = p_n * (1.0 + hetero.b)
+    a, b = config.a, config.b
+    p_n = config.p_opt / (1.0 + a * (config.m - config.m0) + b * config.m0)
+    p_a = p_n * (1.0 + a)
+    p_s = p_n * (1.0 + b)
     for name, p in (("p_normal", p_n), ("p_advanced", p_a), ("p_super", p_s)):
         if p >= 1.0:
             raise ValueError(
                 f"{name}={p:.6g} is not a probability; "
-                f"p_opt={p_opt} with multipliers a={hetero.a}, b={hetero.b} is too large"
+                f"p_opt={config.p_opt} with multipliers a={a}, b={b} is too large"
             )
     return TierProbabilities(p_normal=p_n, p_advanced=p_a, p_super=p_s)
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .election import epoch_length, weighted_probabilities
-from .model import Deployment, NodeTier, RadioParams, SimConfig, deploy
+from .model import Deployment, NodeTier, SimConfig, deploy
 from .protocols import elect_heads, election_rule, form_clusters
 from .radio import aggregation_energy, rx_energy, tx_energy
 
@@ -129,11 +129,10 @@ def transmission_costs(
     heads: np.ndarray,
     members: np.ndarray,
     head_of: np.ndarray | None,
-    radio: RadioParams,
-    bits: int,
+    config: SimConfig,
 ) -> Ledger:
     """Energy cost of one round's traffic, for the clusters form_clusters
-    returned.
+    returned, priced for the config's packet_bits.
 
     Members pay one transmission to their head; heads pay reception per
     member, aggregation over members+1 signals, and one transmission to the
@@ -155,11 +154,12 @@ def transmission_costs(
     head_at = n_members.cumsum() + np.arange(len(heads))
     ids = np.empty(len(members) + len(heads), dtype=np.intp)
     costs = np.empty(len(ids))
-    ids[member_at], costs[member_at] = members, tx_energy(radio, bits, links)
+    bits = config.packet_bits
+    ids[member_at], costs[member_at] = members, tx_energy(config, bits, links)
     ids[head_at] = heads
     costs[head_at] = (
-        n_members * rx_energy(radio, bits)
-        + aggregation_energy(radio, bits, n_members + 1)
+        n_members * rx_energy(config, bits)
+        + aggregation_energy(config, bits, n_members + 1)
         + state.bs_cost[heads]
     )
     return Ledger(ids, costs, links)
@@ -172,9 +172,7 @@ def simulate_round(
     alive = state.alive
     heads = elect_heads(state, alive, r, rng)
     members, head_of = form_clusters(alive, heads, state.x, state.y)
-    ledger = transmission_costs(
-        state, heads, members, head_of, config.radio, config.packet_bits
-    )
+    ledger = transmission_costs(state, heads, members, head_of, config)
 
     # a node that cannot cover its cost still acts, then dies with 0 J left;
     # the ledger charges it only what it had
@@ -216,7 +214,7 @@ def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
     costs are fixed here and never recomputed."""
     n = len(nodes.x)
     d_avg = _sequential_sum(nodes.d_bs) / n
-    probs = weighted_probabilities(config.p_opt, config.hetero)
+    probs = weighted_probabilities(config)
     rate, factor = election_rule(config.protocol, config.p_opt, probs, nodes.d_bs, d_avg)
     return EngineState(
         x=nodes.x,
@@ -226,7 +224,7 @@ def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
         energy=nodes.energy.copy(),
         alive=np.arange(n),
         eligible_from=np.zeros(n, dtype=np.int64),
-        bs_cost=tx_energy(config.radio, config.packet_bits, nodes.d_bs),
+        bs_cost=tx_energy(config, config.packet_bits, nodes.d_bs),
         rate=rate,
         epoch=np.array([epoch_length(p) for p in rate]),
         factor=factor,

@@ -1,10 +1,10 @@
-"""Domain model: node tiers, radio/heterogeneity parameters, and deployment."""
+"""Domain model: node tiers, the run configuration, and deployment."""
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -23,21 +23,46 @@ class ProtocolKind(Enum):
 
 
 @dataclass(frozen=True)
-class HeterogeneityParams:
-    """Tier fractions and energy multipliers.
+class SimConfig:
+    """Full configuration for one simulation run; its fields, in order, are
+    the keys of the flat config.
 
-    m is the fraction of nodes that are advanced-or-better, m0 the fraction
-    that are super.  Advanced nodes carry (1+a) times the base energy e0,
-    super nodes (1+b) times.
+    Radio: first-order energy constants in joules per bit (e_elec, e_da),
+    per bit/m^2 (eps_fs) and per bit/m^4 (eps_mp).  Heterogeneity: m is the
+    fraction of nodes that are advanced-or-better, m0 the fraction that are
+    super; advanced nodes carry (1+a) times the base energy e0, super nodes
+    (1+b) times.
     """
 
-    m: float
-    m0: float
-    a: float
-    b: float
-    e0: float
+    n: int = 100
+    field_width: float = 100.0
+    field_height: float = 100.0
+    bs_x: float | None = None  # None -> field centre
+    bs_y: float | None = None
+    p_opt: float = 0.1
+    packet_bits: int = 4000
+    e_elec: float = 5e-9
+    eps_fs: float = 10e-12
+    eps_mp: float = 0.0013e-12
+    e_da: float = 5e-9
+    d0_override: float | None = None
+    m: float = 0.2
+    m0: float = 0.1
+    a: float = 2.0
+    b: float = 3.0
+    e0: float = 0.5
+    protocol: ProtocolKind = ProtocolKind.DBCP
+    seed: int = 1
+    max_rounds: int = 10000
 
     def __post_init__(self) -> None:
+        # radio, then heterogeneity, then the rest: a config that breaks
+        # several rules reports the first, as the seed copy does
+        for name in ("e_elec", "eps_fs", "eps_mp", "e_da"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.d0_override is not None and self.d0_override <= 0:
+            raise ValueError(f"d0_override must be positive, got {self.d0_override}")
         if not 0.0 <= self.m0 <= self.m <= 1.0:
             raise ValueError(
                 f"need 0 <= m0 <= m <= 1, got m0={self.m0}, m={self.m}"
@@ -48,46 +73,6 @@ class HeterogeneityParams:
             raise ValueError(f"super multiplier b={self.b} must be >= a={self.a}")
         if self.e0 <= 0:
             raise ValueError(f"base energy e0={self.e0} must be positive")
-
-
-@dataclass(frozen=True)
-class RadioParams:
-    """First-order radio energy constants (joules per bit, per bit/m^2, per bit/m^4)."""
-
-    e_elec: float = 5e-9
-    eps_fs: float = 10e-12
-    eps_mp: float = 0.0013e-12
-    e_da: float = 5e-9
-    d0_override: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("e_elec", "eps_fs", "eps_mp", "e_da"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.d0_override is not None and self.d0_override <= 0:
-            raise ValueError(f"d0_override must be positive, got {self.d0_override}")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Full configuration for one simulation run."""
-
-    n: int = 100
-    field_width: float = 100.0
-    field_height: float = 100.0
-    bs_x: float | None = None  # None -> field centre
-    bs_y: float | None = None
-    p_opt: float = 0.1
-    packet_bits: int = 4000
-    radio: RadioParams = field(default_factory=RadioParams)
-    hetero: HeterogeneityParams = field(
-        default_factory=lambda: HeterogeneityParams(m=0.2, m0=0.1, a=2.0, b=3.0, e0=0.5)
-    )
-    protocol: ProtocolKind = ProtocolKind.DBCP
-    seed: int = 1
-    max_rounds: int = 10000
-
-    def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.field_width <= 0 or self.field_height <= 0:
@@ -121,22 +106,16 @@ class Deployment:
     energy: np.ndarray  # initial energy, J
 
 
-def tier_counts(n: int, hetero: HeterogeneityParams) -> tuple[int, int, int]:
-    """Split n nodes into (normal, advanced, super) counts.
+def tier_counts(config: SimConfig) -> tuple[int, int, int]:
+    """Split the config's n nodes into (normal, advanced, super) counts.
 
     Super count is round-half-up of n*m0; advanced-or-better is round-half-up
-    of n*m; normal is the remainder.
+    of n*m; normal is the remainder.  0 <= m0 <= m <= 1 keeps each count
+    non-negative.
     """
-    n_super = math.floor(n * hetero.m0 + 0.5)
-    n_adv_or_better = math.floor(n * hetero.m + 0.5)
-    n_advanced = n_adv_or_better - n_super
-    n_normal = n - n_adv_or_better
-    if n_normal < 0 or n_advanced < 0 or n_super < 0:
-        raise ValueError(
-            f"tier counts ({n_normal}, {n_advanced}, {n_super}) "
-            f"must be non-negative after rounding"
-        )
-    return n_normal, n_advanced, n_super
+    n_super = math.floor(config.n * config.m0 + 0.5)
+    n_adv_or_better = math.floor(config.n * config.m + 0.5)
+    return config.n - n_adv_or_better, n_adv_or_better - n_super, n_super
 
 
 def deploy(config: SimConfig, rng: random.Random) -> Deployment:
@@ -146,10 +125,10 @@ def deploy(config: SimConfig, rng: random.Random) -> Deployment:
     normal.  Positions consume exactly two draws per node in id order, so the
     deployment is a pure function of (config, rng state).
     """
-    n_normal, n_advanced, n_super = tier_counts(config.n, config.hetero)
-    h = config.hetero
+    n_normal, n_advanced, n_super = tier_counts(config)
     tier = np.repeat([2, 1, 0], [n_super, n_advanced, n_normal])  # super, advanced, normal
-    tier_energy = np.array([h.e0, h.e0 * (1.0 + h.a), h.e0 * (1.0 + h.b)])
+    e0 = config.e0
+    tier_energy = np.array([e0, e0 * (1.0 + config.a), e0 * (1.0 + config.b)])
     x, y = [], []
     for _ in range(config.n):
         x.append(rng.uniform(0.0, config.field_width))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wsnsim.model import Deployment, NodeTier, RadioParams, SimConfig
+from wsnsim.model import Deployment, NodeTier, SimConfig
 
 
 def build_deployment(coords, tiers=None, energies=None, bs=(50.0, 50.0)):
@@ -30,7 +30,7 @@ def make_deployment():
 
 @pytest.fixture
 def radio():
-    return RadioParams()
+    return SimConfig()
 
 
 @pytest.fixture

@@ -24,14 +24,7 @@ import pytest
 from wsnsim import cli, engine, report
 from wsnsim.election import distance_factor, sep_threshold, threshold, weighted_probabilities
 from wsnsim.engine import initial_state, simulate_round
-from wsnsim.model import (
-    HeterogeneityParams,
-    NodeTier,
-    ProtocolKind,
-    RadioParams,
-    SimConfig,
-    deploy,
-)
+from wsnsim.model import NodeTier, ProtocolKind, SimConfig, deploy
 from wsnsim.protocols import elect_heads
 from wsnsim.radio import crossover_distance, rx_energy, tx_energy
 
@@ -49,7 +42,7 @@ def record(number: int, name: str, ok: bool, detail: str) -> bool:
 
 
 def test_criterion_1_radio_model_exactness():
-    radio = RadioParams()
+    radio = SimConfig()
     t0 = time.perf_counter()
     tx = tx_energy(radio, 4000, 50.0)
     rx = rx_energy(radio, 4000)
@@ -79,9 +72,7 @@ def test_criterion_2_probability_algebra():
         b = a + rng.uniform(0.0, 4.0)
         p_opt = rng.uniform(0.01, 0.3)
         try:
-            probs = weighted_probabilities(
-                p_opt, HeterogeneityParams(m=m, m0=m0, a=a, b=b, e0=0.5)
-            )
+            probs = weighted_probabilities(SimConfig(p_opt=p_opt, m=m, m0=m0, a=a, b=b))
         except ValueError:
             continue  # pathological draw, resample: the criterion wants valid ones
         drawn += 1
@@ -97,13 +88,13 @@ def test_criterion_2_probability_algebra():
     exact = True
     totals = []
     cases = [
-        (100, HeterogeneityParams(m=0.2, m0=0.1, a=2.0, b=3.0, e0=0.5), 75.0),
-        (8, HeterogeneityParams(m=0.25, m0=0.125, a=2.0, b=3.0, e0=0.5), 6.5),
-        (40, HeterogeneityParams(m=0.5, m0=0.25, a=1.5, b=2.5, e0=0.25), 20.0),
+        (SimConfig(n=100, m=0.2, m0=0.1, a=2.0, b=3.0, e0=0.5, seed=5), 75.0),
+        (SimConfig(n=8, m=0.25, m0=0.125, a=2.0, b=3.0, e0=0.5, seed=5), 6.5),
+        (SimConfig(n=40, m=0.5, m0=0.25, a=1.5, b=2.5, e0=0.25, seed=5), 20.0),
     ]
-    for n, hetero, expected in cases:
-        closed = n * hetero.e0 * (1.0 + hetero.a * (hetero.m - hetero.m0) + hetero.m0 * hetero.b)
-        nodes = deploy(SimConfig(n=n, hetero=hetero, seed=5), random.Random(5))
+    for h, expected in cases:
+        closed = h.n * h.e0 * (1.0 + h.a * (h.m - h.m0) + h.m0 * h.b)
+        nodes = deploy(h, random.Random(5))
         deployed = sum(nodes.energy.tolist())
         totals.append(deployed)
         exact = exact and closed == deployed == expected
@@ -353,7 +344,7 @@ def box_search(replication_batch, tmp_path_factory):
         code = cli.main(
             ["sweep", "--param", "m", "--values", ",".join(str(m) for m in BOX_M),
              "--a", str(a), "--b", str(b), "--seeds", "1..3",
-             "--max-rounds", "7500", "--out", str(out), "--workers", "1"]
+             "--max-rounds", "7500", "--out", str(out)]
         )
         assert code == 0
         for m in BOX_M:
@@ -367,9 +358,8 @@ def box_search(replication_batch, tmp_path_factory):
     # confirm hits that screen for both orderings first, widest fnd gap first
     candidates.sort(key=lambda c: (c[4] and c[5], c[0]), reverse=True)
     for _, m, a, b, _, _ in candidates[:3]:
-        hetero = HeterogeneityParams(m=m, m0=0.1, a=a, b=b, e0=0.5)
         runs = [
-            engine.run(SimConfig(hetero=hetero, protocol=protocol, seed=seed))
+            engine.run(SimConfig(m=m, a=a, b=b, protocol=protocol, seed=seed))
             for protocol in PROTOCOLS
             for seed in REPLICATION_SEEDS
         ]

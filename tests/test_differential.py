@@ -7,6 +7,9 @@ series and summary, the same in-memory totals to the last bit, and, for a
 config that cannot run, the same ValueError.  The copy is loaded by file path
 under another package name and is only read.
 
+A config that breaks two range rules at once reports the rule checked first,
+so the order of the config checks is pinned on hand-picked configs as well.
+
 Configs are drawn from the space the engine has to get right: 1 to 250 nodes,
 no super tier or all advanced nodes super, equal or distinct energy
 multipliers, base energies small enough that most networks die, p_opt up to
@@ -20,6 +23,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wsnsim import cli, engine
@@ -111,3 +115,32 @@ def test_engine_matches_seed_copy(values):
     assert tuple(mine.summary) == dataclasses.astuple(seed.summary)
     for name in TOTALS:
         assert repr(getattr(mine, name)) == repr(getattr(seed, name)), name
+
+
+# well-typed configs that each break two range rules checked in different
+# places: a radio constant, a tier fraction or multiplier, the rest
+TWO_RULES_BROKEN = [
+    {"e_elec": 0.0, "m0": 0.5},
+    {"m0": 0.5, "n": 0},
+    {"a": 2.0, "b": 1.0, "p_opt": 1.5},
+    {"d0_override": -1.0, "e0": 0.0},
+    {"e0": 0.0, "max_rounds": 0},
+    {"eps_mp": -1.0, "field_width": 0.0},
+    {"m": 1.5, "seed": -1},
+    {"a": -1.0, "packet_bits": 0},
+    {"p_opt": 0.0, "bs_x": 5.0},
+    {"field_height": -2.0, "n": 0},
+]
+
+
+def _config_error(parse_config, values: dict) -> str:
+    with pytest.raises(ValueError) as info:
+        parse_config(None, values)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("values", TWO_RULES_BROKEN, ids=lambda v: "+".join(v))
+def test_first_broken_rule_matches_seed_copy(values):
+    assert _config_error(cli.parse_config, values) == _config_error(
+        SEED_CLI.parse_config, values
+    )

@@ -18,12 +18,8 @@ from wsnsim.election import (
     weighted_probabilities,
 )
 from wsnsim.engine import initial_state
-from wsnsim.model import HeterogeneityParams, NodeTier, ProtocolKind, SimConfig
+from wsnsim.model import NodeTier, ProtocolKind, SimConfig
 from wsnsim.protocols import elect_heads
-
-
-def hetero(m=0.2, m0=0.1, a=2.0, b=3.0, e0=0.5):
-    return HeterogeneityParams(m=m, m0=m0, a=a, b=b, e0=e0)
 
 
 def dbcp_threshold(p, r, eligible, d_i, d_avg):
@@ -32,8 +28,9 @@ def dbcp_threshold(p, r, eligible, d_i, d_avg):
     return threshold([sep_threshold(p, r)], 0, distance_factor(d_i, d_avg), eligible)
 
 
-valid_hetero = st.builds(
-    lambda m, frac, a, extra: hetero(m=m, m0=m * frac, a=a, b=a + extra),
+valid_config = st.builds(
+    lambda p_opt, m, frac, a, extra: SimConfig(p_opt=p_opt, m=m, m0=m * frac, a=a, b=a + extra),
+    p_opt=st.floats(min_value=0.01, max_value=0.3),
     m=st.floats(min_value=0.0, max_value=1.0),
     frac=st.floats(min_value=0.0, max_value=1.0),
     a=st.floats(min_value=0.0, max_value=4.0),
@@ -43,35 +40,35 @@ valid_hetero = st.builds(
 
 class TestWeightedProbabilities:
     def test_three_tier_defaults(self):
-        probs = weighted_probabilities(0.1, hetero())
+        probs = weighted_probabilities(SimConfig())
         assert probs.p_normal == pytest.approx(0.066667, abs=1e-6)
         assert probs.p_advanced == pytest.approx(0.2, abs=1e-6)
         assert probs.p_super == pytest.approx(0.266667, abs=1e-6)
 
     def test_homogeneous_reduction(self):
-        probs = weighted_probabilities(0.1, hetero(m=0.0, m0=0.0, a=0.0, b=0.0))
+        probs = weighted_probabilities(SimConfig(m=0.0, m0=0.0, a=0.0, b=0.0))
         assert probs.p_normal == probs.p_advanced == probs.p_super == 0.1
 
     def test_two_level_reduction(self):
         # m0 = 0 recovers the classic two-tier split
-        probs = weighted_probabilities(0.1, hetero(m=0.2, m0=0.0, a=1.0, b=1.0))
+        probs = weighted_probabilities(SimConfig(m=0.2, m0=0.0, a=1.0, b=1.0))
         assert probs.p_normal == pytest.approx(0.083333, abs=1e-5)
         assert probs.p_advanced == pytest.approx(0.166667, abs=1e-5)
 
     def test_multiplier_relations_exact(self):
-        h = hetero()
-        probs = weighted_probabilities(0.1, h)
+        h = SimConfig()
+        probs = weighted_probabilities(h)
         assert probs.p_advanced == probs.p_normal * (1.0 + h.a)
         assert probs.p_super == probs.p_normal * (1.0 + h.b)
 
     def test_pathological_multipliers_rejected(self):
         with pytest.raises(ValueError, match="p_super"):
-            weighted_probabilities(0.3, hetero(m=0.2, m0=0.1, a=0.0, b=9.0))
+            weighted_probabilities(SimConfig(p_opt=0.3, m=0.2, m0=0.1, a=0.0, b=9.0))
 
-    @given(p_opt=st.floats(min_value=0.01, max_value=0.3), h=valid_hetero)
-    def test_population_average_preserved(self, p_opt, h):
+    @given(h=valid_config)
+    def test_population_average_preserved(self, h):
         try:
-            probs = weighted_probabilities(p_opt, h)
+            probs = weighted_probabilities(h)
         except ValueError:
             assume(False)
         mixture = (
@@ -79,10 +76,10 @@ class TestWeightedProbabilities:
             + (h.m - h.m0) * probs.p_advanced
             + h.m0 * probs.p_super
         )
-        assert mixture == pytest.approx(p_opt, abs=1e-12)
+        assert mixture == pytest.approx(h.p_opt, abs=1e-12)
 
     def test_for_tier_dispatch(self):
-        probs = weighted_probabilities(0.1, hetero())
+        probs = weighted_probabilities(SimConfig())
         assert probs.for_tier(NodeTier.NORMAL) == probs.p_normal
         assert probs.for_tier(NodeTier.ADVANCED) == probs.p_advanced
         assert probs.for_tier(NodeTier.SUPER) == probs.p_super

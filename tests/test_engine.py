@@ -17,26 +17,26 @@ from hypothesis import given, settings, strategies as st
 
 from wsnsim import engine
 from wsnsim.engine import initial_state, simulate_round, transmission_costs
-from wsnsim.model import HeterogeneityParams, ProtocolKind, RadioParams, SimConfig
+from wsnsim.model import ProtocolKind, SimConfig
 from wsnsim.radio import aggregation_energy, rx_energy, tx_energy
 
 
 def homogeneous(e0=0.5):
-    return HeterogeneityParams(m=0.0, m0=0.0, a=0.0, b=0.0, e0=e0)
+    """SimConfig keyword arguments for a single-tier network of e0 J nodes."""
+    return dict(m=0.0, m0=0.0, a=0.0, b=0.0, e0=e0)
 
 
-def ledger_for(nodes, heads, members, head_of, radio=RadioParams(), bits=4000):
+def ledger_for(nodes, heads, members, head_of, bits=4000):
     """transmission_costs for the given clusters, priced with the
     base-station costs initial_state builds for a run over `nodes`."""
-    config = SimConfig(n=len(nodes.x), radio=radio, packet_bits=bits)
+    config = SimConfig(n=len(nodes.x), packet_bits=bits)
     state = initial_state(config, nodes)
     return transmission_costs(
         state,
         np.array(heads, dtype=np.intp),
         np.array(members, dtype=np.intp),
         None if head_of is None else np.array(head_of, dtype=np.intp),
-        radio,
-        bits,
+        config,
     )
 
 
@@ -65,8 +65,8 @@ class TestTransmissionCosts:
 
     def test_zero_head_round_all_direct(self, make_deployment):
         nodes = make_deployment([(50.0 + 10.0 * i, 50.0) for i in range(3)])
-        radio = RadioParams()
-        ledger = ledger_for(nodes, [], [0, 1, 2], None, radio)
+        radio = SimConfig()
+        ledger = ledger_for(nodes, [], [0, 1, 2], None)
         assert ledger.ids.tolist() == [0, 1, 2]
         assert len(ledger.links) == 0
         for i, cost in costs_by_id(ledger).items():
@@ -74,8 +74,8 @@ class TestTransmissionCosts:
 
     def test_head_with_no_members_still_reports(self, make_deployment):
         nodes = make_deployment([(50.0, 60.0)])
-        radio = RadioParams()
-        ledger = ledger_for(nodes, [0], [], [], radio)
+        radio = SimConfig()
+        ledger = ledger_for(nodes, [0], [], [])
         # aggregation still covers the head's own signal
         expected = aggregation_energy(radio, 4000, 1) + tx_energy(radio, 4000, 10.0)
         assert costs_by_id(ledger)[0] == pytest.approx(expected, rel=1e-12)
@@ -94,9 +94,9 @@ class TestTransmissionCosts:
         """Cost composition: a member pays exactly tx_energy over its link, and
         a head pays rx per member plus aggregation plus tx_energy to the base
         station, summed in that order, float for float."""
-        radio = RadioParams()
+        radio = SimConfig()
         nodes = make_deployment([(hx, hy), (mx, my)])
-        costs = costs_by_id(ledger_for(nodes, [0], [1], [0], radio, bits))
+        costs = costs_by_id(ledger_for(nodes, [0], [1], [0], bits))
         d = math.hypot(mx - hx, my - hy)
         assert costs[1] == tx_energy(radio, bits, d)
         assert costs[0] == (
@@ -110,9 +110,9 @@ class TestTransmissionCosts:
     def test_unclustered_cost_matches_radio_module_bitwise(self, make_deployment, d_bs):
         """Cost composition: an unclustered node pays exactly one tx_energy
         to the base station, float for float."""
-        radio = RadioParams()
+        radio = SimConfig()
         nodes = make_deployment([(50.0 + d_bs, 50.0)])
-        ledger = ledger_for(nodes, [], [0], None, radio)
+        ledger = ledger_for(nodes, [], [0], None)
         assert ledger.costs.tolist() == [tx_energy(radio, 4000, nodes.d_bs[0])]
 
 
@@ -128,7 +128,7 @@ def rigged_state(nodes, config, sole_head_id=None):
 
 class TestSimulateRound:
     def test_forced_two_node_round(self, make_deployment):
-        config = SimConfig(n=2, protocol=ProtocolKind.LEACH, hetero=homogeneous(1.0))
+        config = SimConfig(n=2, protocol=ProtocolKind.LEACH, **homogeneous(1.0))
         nodes = make_deployment([(50.0, 80.0), (50.0, 100.0)])  # head, member
         state = rigged_state(nodes, config, sole_head_id=0)
         metrics = simulate_round(state, 9, config, random.Random(0))
@@ -145,18 +145,18 @@ class TestSimulateRound:
         assert state.head_distance_sum == pytest.approx(30.0, rel=1e-12)
 
     def test_zero_head_round_direct_to_bs(self, make_deployment):
-        config = SimConfig(n=4, protocol=ProtocolKind.SEP, hetero=homogeneous(1.0))
+        config = SimConfig(n=4, protocol=ProtocolKind.SEP, **homogeneous(1.0))
         nodes = make_deployment([(50.0, 55.0 + 5.0 * i) for i in range(4)])
         state = rigged_state(nodes, config, sole_head_id=None)
         before = sum(nodes.energy.tolist())
         metrics = simulate_round(state, 0, config, random.Random(0))
         assert metrics.head_count == 0
         assert metrics.packets_to_bs_round == 4
-        expected_cost = sum(tx_energy(config.radio, 4000, d) for d in nodes.d_bs.tolist())
+        expected_cost = sum(tx_energy(config, 4000, d) for d in nodes.d_bs.tolist())
         assert before - metrics.residual_energy_j == pytest.approx(expected_cost, abs=1e-12)
 
     def test_insufficient_energy_clamps_and_kills(self, make_deployment):
-        config = SimConfig(n=3, protocol=ProtocolKind.LEACH, hetero=homogeneous(1.0))
+        config = SimConfig(n=3, protocol=ProtocolKind.LEACH, **homogeneous(1.0))
         # a head, a poor node that cannot afford its tx, a rich node
         nodes = make_deployment(
             [(50.0, 80.0), (50.0, 100.0), (60.0, 80.0)], energies=[1.0, 1e-9, 1.0]
@@ -168,19 +168,18 @@ class TestSimulateRound:
         assert metrics.alive_total == 2
         assert metrics.packets_to_bs_round == 1  # the head still delivered
         # the ledger charges the poor node only what it actually had
-        radio = config.radio
         head_cost = (
-            2 * rx_energy(radio, 4000)
-            + aggregation_energy(radio, 4000, 3)
-            + tx_energy(radio, 4000, nodes.d_bs[0])
+            2 * rx_energy(config, 4000)
+            + aggregation_energy(config, 4000, 3)
+            + tx_energy(config, 4000, nodes.d_bs[0])
         )
-        rich_cost = tx_energy(radio, 4000, 10.0)
+        rich_cost = tx_energy(config, 4000, 10.0)
         assert state.energy_dissipated == pytest.approx(
             head_cost + rich_cost + 1e-9, abs=1e-15
         )
 
     def test_dead_nodes_stay_dead_and_unchanged(self, make_deployment):
-        config = SimConfig(n=3, protocol=ProtocolKind.LEACH, hetero=homogeneous(1.0))
+        config = SimConfig(n=3, protocol=ProtocolKind.LEACH, **homogeneous(1.0))
         nodes = make_deployment(
             [(50.0, 80.0), (50.0, 100.0), (60.0, 80.0)], energies=[1.0, 1e-9, 1.0]
         )
@@ -212,9 +211,7 @@ class TestRun:
         )
 
     def test_series_invariants(self):
-        config = SimConfig(
-            n=16, max_rounds=3000, seed=5, hetero=HeterogeneityParams(0.2, 0.1, 2.0, 3.0, 0.02)
-        )
+        config = SimConfig(n=16, max_rounds=3000, seed=5, e0=0.02)
         result = engine.run(config)
         series = result.series
         assert [m.round for m in series] == list(range(1, len(series) + 1))
@@ -230,9 +227,7 @@ class TestRun:
 
     def test_lifecycle_ordering(self):
         # small budget so the network dies completely within the cap
-        config = SimConfig(
-            n=12, max_rounds=4000, seed=21, hetero=HeterogeneityParams(0.2, 0.1, 2.0, 3.0, 0.02)
-        )
+        config = SimConfig(n=12, max_rounds=4000, seed=21, e0=0.02)
         result = engine.run(config)
         s = result.summary
         assert s.fnd_round is not None and s.hnd_round is not None and s.lnd_round is not None
@@ -243,7 +238,7 @@ class TestRun:
         assert s.total_packets == result.series[-1].packets_to_bs_cum
 
     def test_single_node_immediate_death(self):
-        config = SimConfig(n=1, hetero=homogeneous(e0=1e-9), max_rounds=50)
+        config = SimConfig(n=1, **homogeneous(e0=1e-9), max_rounds=50)
         result = engine.run(config)
         assert result.summary.fnd_round == 1
         assert result.summary.hnd_round == 1
@@ -267,9 +262,7 @@ class TestRun:
         assert result.summary.total_packets > 0
 
     def test_d_avg_frozen_at_deployment(self):
-        config = SimConfig(
-            n=10, max_rounds=800, seed=31, hetero=HeterogeneityParams(0.2, 0.1, 2.0, 3.0, 0.05)
-        )
+        config = SimConfig(n=10, max_rounds=800, seed=31, e0=0.05)
         result = engine.run(config)
         # deaths occurred, yet d_avg still reflects the full deployment
         nodes = engine.deploy(config, random.Random(config.seed))
@@ -283,7 +276,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "config",
         [
-            SimConfig(n=30, seed=3, hetero=HeterogeneityParams(0.2, 0.1, 2.0, 3.0, 0.05)),
+            SimConfig(n=30, seed=3, e0=0.05),
             SimConfig(n=30, seed=3, max_rounds=50),
         ],
         ids=["network_dies", "capped"],
@@ -305,7 +298,7 @@ class TestSingleClusterClosedForm:
     def test_forced_single_cluster_matches_hand_ledger(self, make_deployment):
         """One head, n-1 members: engine total equals the closed-form
         head + member ledger evaluated from the raw constants."""
-        config = SimConfig(n=6, protocol=ProtocolKind.LEACH, hetero=homogeneous(1.0))
+        config = SimConfig(n=6, protocol=ProtocolKind.LEACH, **homogeneous(1.0))
         coords = [(50.0, 70.0), (30.0, 40.0), (80.0, 60.0), (45.0, 15.0), (95.0, 95.0),
                   (10.0, 80.0)]
         nodes = make_deployment(coords)

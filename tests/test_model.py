@@ -6,43 +6,32 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from wsnsim.model import (
-    HeterogeneityParams,
-    NodeTier,
-    RadioParams,
-    SimConfig,
-    deploy,
-    tier_counts,
-)
-
-
-def hetero(m=0.2, m0=0.1, a=2.0, b=3.0, e0=0.5):
-    return HeterogeneityParams(m=m, m0=m0, a=a, b=b, e0=e0)
+from wsnsim.model import NodeTier, SimConfig, deploy, tier_counts
 
 
 class TestHeterogeneityParams:
     def test_m0_above_m_rejected(self):
         with pytest.raises(ValueError, match="m0"):
-            hetero(m=0.2, m0=0.3)
+            SimConfig(m=0.2, m0=0.3)
 
     def test_m_above_one_rejected(self):
         with pytest.raises(ValueError):
-            hetero(m=1.2, m0=0.1)
+            SimConfig(m=1.2, m0=0.1)
 
     def test_negative_multiplier_rejected(self):
         with pytest.raises(ValueError):
-            hetero(a=-0.5, b=3.0)
+            SimConfig(a=-0.5, b=3.0)
 
     def test_b_below_a_rejected(self):
         with pytest.raises(ValueError, match="b"):
-            hetero(a=3.0, b=2.0)
+            SimConfig(a=3.0, b=2.0)
 
     def test_nonpositive_e0_rejected(self):
         with pytest.raises(ValueError, match="e0"):
-            hetero(e0=0.0)
+            SimConfig(e0=0.0)
 
     def test_zero_multipliers_allowed(self):
-        h = hetero(a=0.0, b=0.0)
+        h = SimConfig(a=0.0, b=0.0)
         assert h.a == 0.0 and h.b == 0.0
 
 
@@ -75,17 +64,17 @@ class TestSimConfig:
 
 class TestTierCounts:
     def test_default_split(self):
-        assert tier_counts(100, hetero(m=0.2, m0=0.1)) == (80, 10, 10)
+        assert tier_counts(SimConfig(n=100, m=0.2, m0=0.1)) == (80, 10, 10)
 
     def test_homogeneous(self):
-        assert tier_counts(100, hetero(m=0.0, m0=0.0)) == (100, 0, 0)
+        assert tier_counts(SimConfig(n=100, m=0.0, m0=0.0)) == (100, 0, 0)
 
     def test_all_super(self):
-        assert tier_counts(100, hetero(m=1.0, m0=1.0)) == (0, 0, 100)
+        assert tier_counts(SimConfig(n=100, m=1.0, m0=1.0)) == (0, 0, 100)
 
     def test_round_half_up(self):
         # 10*0.25 = 2.5 -> 3 advanced-or-better; 10*0.05 = 0.5 -> 1 super
-        assert tier_counts(10, hetero(m=0.25, m0=0.05)) == (7, 2, 1)
+        assert tier_counts(SimConfig(n=10, m=0.25, m0=0.05)) == (7, 2, 1)
 
     @given(
         n=st.integers(min_value=1, max_value=500),
@@ -93,8 +82,7 @@ class TestTierCounts:
         frac=st.floats(min_value=0.0, max_value=1.0),
     )
     def test_partition(self, n, m, frac):
-        h = hetero(m=m, m0=m * frac)
-        n_normal, n_advanced, n_super = tier_counts(n, h)
+        n_normal, n_advanced, n_super = tier_counts(SimConfig(n=n, m=m, m0=m * frac))
         assert n_normal >= 0 and n_advanced >= 0 and n_super >= 0
         assert n_normal + n_advanced + n_super == n
 
@@ -137,7 +125,7 @@ class TestDeploy:
         assert sum(nodes.energy.tolist()) == 75.0
 
     def test_single_normal_node(self):
-        config = SimConfig(n=1, hetero=hetero(m=0.0, m0=0.0))
+        config = SimConfig(n=1, m=0.0, m0=0.0)
         nodes = deploy(config, random.Random(0))
         assert tiers_of(nodes) == [NodeTier.NORMAL]
         assert nodes.energy.tolist() == [0.5]
@@ -155,7 +143,7 @@ class TestDeploy:
     def test_tier_population_matches_counts(self, n, seed):
         config = SimConfig(n=n, seed=seed)
         tiers = tiers_of(deploy(config, random.Random(seed)))
-        n_normal, n_advanced, n_super = tier_counts(n, config.hetero)
+        n_normal, n_advanced, n_super = tier_counts(config)
         assert tiers.count(NodeTier.NORMAL) == n_normal
         assert tiers.count(NodeTier.ADVANCED) == n_advanced
         assert tiers.count(NodeTier.SUPER) == n_super
@@ -165,15 +153,14 @@ def test_closed_form_total_matches_deployed_sum_binary_fractions():
     """With m, m0 and the multipliers on binary fractions both the per-node
     sum and n*e0*(1 + a(m-m0) + m0*b) are exact floats, so they must be equal
     bit for bit."""
-    h = hetero(m=0.25, m0=0.125, a=2.0, b=3.0, e0=0.5)
-    config = SimConfig(n=8, hetero=h)
-    nodes = deploy(config, random.Random(5))
-    closed = config.n * h.e0 * (1.0 + h.a * (h.m - h.m0) + h.m0 * h.b)
+    h = SimConfig(n=8, m=0.25, m0=0.125, a=2.0, b=3.0, e0=0.5)
+    nodes = deploy(h, random.Random(5))
+    closed = h.n * h.e0 * (1.0 + h.a * (h.m - h.m0) + h.m0 * h.b)
     assert sum(nodes.energy.tolist()) == closed == 6.5
 
 
 def test_radio_params_frozen_defaults():
-    radio = RadioParams()
+    radio = SimConfig()
     assert radio.e_elec == 5e-9
     assert radio.eps_fs == 10e-12
     assert radio.eps_mp == 0.0013e-12

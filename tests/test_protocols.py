@@ -15,26 +15,20 @@ from hypothesis import example, given, settings, strategies as st
 from wsnsim import protocols
 from wsnsim.election import epoch_length, sep_threshold, threshold, weighted_probabilities
 from wsnsim.engine import initial_state
-from wsnsim.model import (
-    HeterogeneityParams,
-    NodeTier,
-    ProtocolKind,
-    SimConfig,
-    deploy,
-)
+from wsnsim.model import NodeTier, ProtocolKind, SimConfig, deploy
 from wsnsim.protocols import _nearest_dense, _nearest_grid, elect_heads, form_clusters
 
 P_OPT = 0.1
-HETERO = HeterogeneityParams(m=0.2, m0=0.1, a=2.0, b=3.0, e0=0.5)
-PROBS = weighted_probabilities(P_OPT, HETERO)
+PROBS = weighted_probabilities(SimConfig(p_opt=P_OPT))
+HOMOGENEOUS = dict(m=0.0, m0=0.0, a=0.0, b=0.0)
 
 
 def deployed_network(n=40, seed=13):
     return deploy(SimConfig(n=n, seed=seed), random.Random(seed))
 
 
-def state_for(protocol, nodes, hetero=HETERO, p_opt=P_OPT):
-    config = SimConfig(n=len(nodes.x), protocol=protocol, hetero=hetero, p_opt=p_opt)
+def state_for(protocol, nodes, **overrides):
+    config = SimConfig(n=len(nodes.x), protocol=protocol, p_opt=P_OPT, **overrides)
     return initial_state(config, nodes)
 
 
@@ -107,11 +101,11 @@ class TestEligibilityFor:
         assert dbcp.tolist() == state_for(ProtocolKind.SEP, nodes).epoch.tolist()
 
 
-def threshold_of(make_deployment, protocol, tier, d, r=0, hetero=HETERO, p_opt=P_OPT):
+def threshold_of(make_deployment, protocol, tier, d, r=0, **overrides):
     """Round-r threshold of a node d m from the base station, in a network
     whose average distance is 40 m: a partner node sits 80 - d m away."""
     nodes = make_deployment([(50.0 + d, 50.0), (50.0, 130.0 - d)], [tier, NodeTier.NORMAL])
-    state = state_for(protocol, nodes, hetero=hetero, p_opt=p_opt)
+    state = state_for(protocol, nodes, **overrides)
     assert state.d_avg == 40.0
     return thresholds_of(state, r)[0]
 
@@ -137,10 +131,9 @@ class TestThresholdFor:
 
     def test_sep_equals_leach_when_homogeneous(self, make_deployment):
         # m = m0 = 0 collapses every tier probability onto p_opt
-        h = HeterogeneityParams(0.0, 0.0, 0.0, 0.0, 0.5)
         for r in range(25):
             t_sep, t_leach = (
-                threshold_of(make_deployment, protocol, NodeTier.NORMAL, 30.0, r, hetero=h)
+                threshold_of(make_deployment, protocol, NodeTier.NORMAL, 30.0, r, **HOMOGENEOUS)
                 for protocol in (ProtocolKind.SEP, ProtocolKind.LEACH)
             )
             assert t_sep == t_leach
@@ -360,12 +353,11 @@ class TestProtocolDegeneracies:
     def test_sep_run_identical_to_leach_when_homogeneous(self):
         """m = m0 = 0: same probabilities, same epochs, same rng consumption,
         so the two protocols elect identical head sequences."""
-        h = HeterogeneityParams(m=0.0, m0=0.0, a=0.0, b=0.0, e0=0.5)
-        config = SimConfig(n=30, seed=6, hetero=h)
+        config = SimConfig(n=30, seed=6, **HOMOGENEOUS)
         nodes = deploy(config, random.Random(config.seed))
         sequences = {}
         for protocol in (ProtocolKind.LEACH, ProtocolKind.SEP):
-            state = state_for(protocol, nodes, hetero=h)
+            state = state_for(protocol, nodes, **HOMOGENEOUS)
             rng = random.Random(99)
             sequences[protocol] = [
                 elect_heads(state, state.alive, r, rng).tolist() for r in range(60)

@@ -9,7 +9,7 @@ module was written.
 import pytest
 from hypothesis import given, strategies as st
 
-from wsnsim.model import RadioParams
+from wsnsim.model import SimConfig
 from wsnsim.radio import aggregation_energy, crossover_distance, rx_energy, tx_energy
 
 
@@ -18,11 +18,11 @@ class TestCrossoverDistance:
         assert crossover_distance(radio) == pytest.approx(87.7058, abs=1e-3)
 
     def test_equal_amplifier_constants(self):
-        radio = RadioParams(eps_fs=1e-12, eps_mp=1e-12)
+        radio = SimConfig(eps_fs=1e-12, eps_mp=1e-12)
         assert crossover_distance(radio) == 1.0
 
     def test_override_wins(self):
-        radio = RadioParams(d0_override=70.0)
+        radio = SimConfig(d0_override=70.0)
         assert crossover_distance(radio) == 70.0
 
 
@@ -49,7 +49,7 @@ class TestTxEnergy:
     def test_override_changes_branch_selection_only(self):
         # with d0 forced to 70 m, an 80 m link is charged at the d^4 rate
         # even though the amplifier constants put the natural crossover at 87.7
-        radio = RadioParams(d0_override=70.0)
+        radio = SimConfig(d0_override=70.0)
         expected = 4000 * radio.e_elec + 4000 * radio.eps_mp * 80.0**4
         assert tx_energy(radio, 4000, 80.0) == pytest.approx(expected, rel=1e-12)
 
@@ -58,7 +58,7 @@ class TestTxEnergy:
         bits=st.integers(min_value=0, max_value=10**6),
     )
     def test_linear_in_bits(self, d, bits):
-        radio = RadioParams()
+        radio = SimConfig()
         assert tx_energy(radio, bits, d) == pytest.approx(
             bits * tx_energy(radio, 1, d), rel=1e-12
         )
@@ -68,7 +68,7 @@ class TestTxEnergy:
         d2=st.floats(min_value=0.0, max_value=500.0),
     )
     def test_monotone_in_distance(self, d1, d2):
-        radio = RadioParams()
+        radio = SimConfig()
         lo, hi = sorted((d1, d2))
         assert tx_energy(radio, 4000, lo) <= tx_energy(radio, 4000, hi)
 
@@ -81,7 +81,7 @@ class TestRxEnergy:
         assert rx_energy(radio, 0) == 0.0
 
     def test_unit_case(self):
-        assert rx_energy(RadioParams(e_elec=1e-9), 1) == 1e-9
+        assert rx_energy(SimConfig(e_elec=1e-9), 1) == 1e-9
 
 
 class TestAggregationEnergy:
@@ -96,7 +96,7 @@ class TestAggregationEnergy:
 
     @given(signals=st.integers(min_value=0, max_value=1000))
     def test_linear_in_signals(self, signals):
-        radio = RadioParams()
+        radio = SimConfig()
         one = aggregation_energy(radio, 4000, 1)
         assert aggregation_energy(radio, 4000, signals) == pytest.approx(
             signals * one, rel=1e-12
@@ -113,8 +113,8 @@ def test_tx_energy_continuous_near_crossover(radio):
 
 def test_radio_params_reject_nonpositive():
     with pytest.raises(ValueError, match="eps_fs"):
-        RadioParams(eps_fs=0.0)
+        SimConfig(eps_fs=0.0)
     with pytest.raises(ValueError, match="e_elec"):
-        RadioParams(e_elec=-1e-9)
+        SimConfig(e_elec=-1e-9)
     with pytest.raises(ValueError, match="d0_override"):
-        RadioParams(d0_override=-5.0)
+        SimConfig(d0_override=-5.0)
