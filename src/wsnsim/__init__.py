@@ -1,13 +1,6 @@
 """Round-based simulator for cluster-head election protocols on
 heterogeneous wireless sensor networks."""
 
-from .election import (
-    TierProbabilities,
-    distance_factor,
-    sep_threshold,
-    threshold,
-    weighted_probabilities,
-)
 from .engine import RoundMetrics, RunResult, SummaryMetrics, run
 from .model import (
     Deployment,
@@ -17,8 +10,16 @@ from .model import (
     deploy,
     tier_counts,
 )
-from .protocols import elect_heads, form_clusters
-from .report import ComparisonResult, aggregate
+from .protocols import (
+    TierProbabilities,
+    distance_factor,
+    elect_heads,
+    form_clusters,
+    sep_threshold,
+    threshold,
+    weighted_probabilities,
+)
+from .report import aggregate
 
 __all__ = [
     "TierProbabilities",
@@ -39,5 +40,4 @@ __all__ = [
     "elect_heads",
     "form_clusters",
     "aggregate",
-    "ComparisonResult",
 ]

@@ -26,8 +26,9 @@ from enum import Enum
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from . import election, engine, report
+from . import engine, report
 from .model import ProtocolKind, SimConfig, tier_counts
+from .protocols import weighted_probabilities
 from .radio import crossover_distance
 
 
@@ -71,6 +72,12 @@ SWEEPABLE = ["m", "m0", "a", "b"]
 def parse_config(path: str | os.PathLike | None, overrides: dict | None = None) -> SimConfig:
     """Resolve defaults, optional config file, and flag overrides (in that
     precedence order, later wins) into a validated SimConfig."""
+    return _build_config(_resolve(path, overrides))
+
+
+def _resolve(path: str | os.PathLike | None, overrides: dict | None) -> dict:
+    """parse_config's values before validation: the defaults, updated from
+    the config file at `path` (read once), then from `overrides`."""
     values = dict(DEFAULTS)
     if path is not None:
         with open(path) as fh:
@@ -89,7 +96,7 @@ def parse_config(path: str | os.PathLike | None, overrides: dict | None = None) 
         if unknown:
             raise ValueError(f"unknown config overrides: {', '.join(unknown)}")
         values.update(overrides)
-    return _build_config(values)
+    return values
 
 
 def _coerce(key: ConfigKey, value: object) -> object:
@@ -133,28 +140,23 @@ def config_to_dict(config: SimConfig) -> dict:
 
 def derived_values(config: SimConfig) -> dict:
     n_normal, n_advanced, n_super = tier_counts(config)
-    probs = election.weighted_probabilities(config)
     return {
         "effective_d0": crossover_distance(config),
         "n_normal": n_normal,
         "n_advanced": n_advanced,
         "n_super": n_super,
-        "p_normal": probs.p_normal,
-        "p_advanced": probs.p_advanced,
-        "p_super": probs.p_super,
+        **weighted_probabilities(config)._asdict(),
     }
 
 
 def _echo_config(config: SimConfig, out_dir: Path) -> None:
     """Write config.json and derived.json.  Every command calls this after
     all other outputs of the directory are written, so a run that fails
-    part way leaves no config echo behind."""
-    (out_dir / "config.json").write_text(
-        json.dumps(config_to_dict(config), indent=2) + "\n"
-    )
-    (out_dir / "derived.json").write_text(
-        json.dumps(derived_values(config), indent=2) + "\n"
-    )
+    part way leaves no config echo behind.  Both are computed before either
+    is written, so a config whose derived values raise leaves neither."""
+    echoes = {"config.json": config_to_dict(config), "derived.json": derived_values(config)}
+    for name, values in echoes.items():
+        (out_dir / name).write_text(json.dumps(values, indent=2) + "\n")
 
 
 def run_batch(configs: list[SimConfig], workers: int | None = None) -> list[engine.RunResult]:
@@ -277,19 +279,21 @@ def _prepare_out(path_text: str) -> Path:
     return out
 
 
-def _print_mean_table(comparison: report.ComparisonResult) -> None:
+def _print_mean_table(comparison: dict[ProtocolKind, report.ProtocolAggregate]) -> None:
+    # one space before each right-aligned column, so a name as wide as the
+    # column (total_packets_mean) stays apart from its neighbour
     header = f"{'protocol':<10}" + "".join(
-        f"{name + '_mean':>18}" for name in report.METRIC_NAMES
+        f" {name + '_mean':>18}" for name in report.METRIC_NAMES
     )
     print(header)
-    for agg in comparison.protocols:
-        cells = "".join(f"{agg.stats[m].mean:>18.2f}" for m in report.METRIC_NAMES)
-        print(f"{agg.protocol.value:<10}{cells}")
+    for proto, agg in comparison.items():
+        cells = "".join(f" {agg.stats[m].mean:>18.2f}" for m in report.METRIC_NAMES)
+        print(f"{proto.value:<10}{cells}")
 
 
 def _run_compare_batch(
     base: SimConfig, seeds: list[int], out_dir: Path, workers: int | None
-) -> report.ComparisonResult:
+) -> dict[ProtocolKind, report.ProtocolAggregate]:
     """Paired comparison of all three protocols over `seeds`, writing the full
     file set into out_dir."""
     configs = [
@@ -338,14 +342,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    overrides = _collect_overrides(args)
-    # the swept parameter is merged in before validation so every point is
-    # checked as it will actually run; the base value it replaces may be out
-    # of range against pinned flags (e.g. --param a --values 0 --b 0)
-    points = [
-        (value, parse_config(args.config, {**overrides, args.param: value}))
-        for value in args.values
-    ]
+    # the config file is read once; every point and the top-level echo are
+    # built from `resolved`.  The swept parameter is merged in before
+    # validation so every point is checked as it will actually run; the base
+    # value it replaces may be out of range against pinned flags (e.g.
+    # --param a --values 0 --b 0)
+    resolved = _resolve(args.config, _collect_overrides(args))
+    points = [(value, _build_config({**resolved, args.param: value})) for value in args.values]
     out_dir = _prepare_out(args.out)
     entries = []
     for value, sub_base in points:
@@ -357,7 +360,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _print_mean_table(comparison)
     report.write_sweep(entries, out_dir / "sweep.csv")
     try:
-        _echo_config(parse_config(args.config, overrides), out_dir)
+        _echo_config(_build_config(resolved), out_dir)
     except ValueError:
         pass  # base never runs as-is; each point directory echoes its own
     return 0

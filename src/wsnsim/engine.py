@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .election import epoch_length, weighted_probabilities
 from .model import Deployment, NodeTier, SimConfig, deploy
 from .protocols import elect_heads, election_rule, form_clusters
 from .radio import aggregation_energy, rx_energy, tx_energy
@@ -214,8 +213,7 @@ def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
     costs are fixed here and never recomputed."""
     n = len(nodes.x)
     d_avg = _sequential_sum(nodes.d_bs) / n
-    probs = weighted_probabilities(config)
-    rate, factor = election_rule(config.protocol, config.p_opt, probs, nodes.d_bs, d_avg)
+    rate, epoch, factor = election_rule(config, nodes.d_bs, d_avg)
     return EngineState(
         x=nodes.x,
         y=nodes.y,
@@ -226,7 +224,7 @@ def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
         eligible_from=np.zeros(n, dtype=np.int64),
         bs_cost=tx_energy(config, config.packet_bits, nodes.d_bs),
         rate=rate,
-        epoch=np.array([epoch_length(p) for p in rate]),
+        epoch=epoch,
         factor=factor,
         d_avg=d_avg,
         alive_by_tier=np.bincount(nodes.tier, minlength=len(NodeTier)).tolist(),

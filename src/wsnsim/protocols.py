@@ -1,35 +1,130 @@
-"""Protocol-level election and cluster formation.
+"""How leach, sep and dbcp elect cluster heads and form clusters.
 
 LEACH: every node runs the rotating threshold at the uniform rate p_opt.
 SEP:   per-tier rates from weighted_probabilities, same rotation mechanics.
-DBCP:  SEP rates with the near-node distance scaling applied on top.
+DBCP:  SEP rates with the near-node distance factor applied on top.
+
+Thresholds follow the rotating-eligibility scheme: each node may serve once
+per epoch of ceil(1/p) rounds, with the per-round threshold ramping up to 1
+at the end of the epoch so that every eligible node has served exactly once
+by the time the epoch wraps.  election_rule fixes a run's tier rates, epochs
+and distance factors; elect_heads draws each round's heads against them and
+form_clusters attaches every other alive node to its nearest head.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 
-from .election import TierProbabilities, distance_factor, sep_threshold, threshold
-from .model import NodeTier, ProtocolKind
+from .model import NodeTier, ProtocolKind, SimConfig
 
-__all__ = ["ProtocolKind", "election_rule", "elect_heads", "form_clusters"]
+__all__ = [
+    "ProtocolKind",
+    "TierProbabilities",
+    "weighted_probabilities",
+    "epoch_length",
+    "sep_threshold",
+    "distance_factor",
+    "threshold",
+    "election_rule",
+    "elect_heads",
+    "form_clusters",
+]
+
+
+class TierProbabilities(NamedTuple):
+    """Per-round election probabilities by tier, in NodeTier order."""
+
+    p_normal: float
+    p_advanced: float
+    p_super: float
+
+
+def weighted_probabilities(config: SimConfig) -> TierProbabilities:
+    """Split the config's target election rate p_opt into per-tier
+    probabilities.
+
+    Probabilities are weighted by each tier's extra energy so that the
+    population-average probability stays exactly p_opt:
+
+        (1-m)*p_n + (m-m0)*p_a + m0*p_s == p_opt
+    """
+    a, b = config.a, config.b
+    p_n = config.p_opt / (1.0 + a * (config.m - config.m0) + b * config.m0)
+    probs = TierProbabilities(p_n, p_n * (1.0 + a), p_n * (1.0 + b))
+    for name, p in probs._asdict().items():
+        if p >= 1.0:
+            raise ValueError(
+                f"{name}={p:.6g} is not a probability; "
+                f"p_opt={config.p_opt} with multipliers a={a}, b={b} is too large"
+            )
+    return probs
+
+
+def _inverse_rate(p: float) -> float:
+    # 1/p, snapped to the nearest integer when the quotient is integral up to
+    # float noise; keeps epoch lengths and the end-of-epoch threshold exact.
+    inv = 1.0 / p
+    nearest = round(inv)
+    if nearest >= 1 and abs(inv - nearest) <= 1e-9 * nearest:
+        return float(nearest)
+    return inv
+
+
+def epoch_length(p: float) -> int:
+    """Rounds per eligibility epoch for election probability p: ceil(1/p)."""
+    return math.ceil(_inverse_rate(p))
+
+
+def sep_threshold(p: float, r: int) -> float:
+    """Rotating election threshold p / (1 - p*(r mod epoch)), clamped to 1.
+
+    Evaluated as 1 / (1/p - (r mod epoch)), which is the same expression with
+    one division fewer and is exact (== 1.0) at the end of an epoch whenever
+    1/p is integral.
+    """
+    inv = _inverse_rate(p)
+    return min(1.0, 1.0 / (inv - r % math.ceil(inv)))
+
+
+def distance_factor(d, d_avg: float):
+    """The dbcp scaling, elementwise over floats or arrays: nodes nearer the
+    base station than the deployment average d_avg get 1 - d/d_avg, nodes at
+    or beyond it keep 1."""
+    d = np.asarray(d, dtype=float)
+    # d_avg = 0 (every node on the base station) leaves no node nearer
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(d < d_avg, 1.0 - d / d_avg, 1.0)[()]
+
+
+def threshold(tier_thresholds, tier, factor, eligible) -> np.ndarray:
+    """The election threshold rule, for many nodes at once: the rotating
+    threshold of each node's tier (`tier_thresholds`, one sep_threshold per
+    tier for the round), times the node's distance factor, or 0 for a node
+    not eligible.  `tier`, `factor` and `eligible` hold one entry per node;
+    leach and sep use factor 1, so the product is the tier threshold itself.
+    """
+    return np.where(eligible, np.asarray(tier_thresholds)[tier] * factor, 0.0)
 
 
 def election_rule(
-    protocol: ProtocolKind, p_opt: float, probs: TierProbabilities, d_bs, d_avg: float
-) -> tuple[tuple[float, ...], np.ndarray]:
-    """The election rate of each tier (in NodeTier order) and the distance
-    factor of each node under `protocol`."""
-    if protocol is ProtocolKind.LEACH:
-        rate = (p_opt,) * len(NodeTier)
+    config: SimConfig, d_bs, d_avg: float
+) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """The election rate and eligibility epoch of each tier (in NodeTier
+    order) and the distance factor of each node under config.protocol.
+    weighted_probabilities runs under every protocol, leach included, so a
+    config whose tier rates are not probabilities fails under all three."""
+    probs = weighted_probabilities(config)
+    rate = (config.p_opt,) * len(NodeTier) if config.protocol is ProtocolKind.LEACH else probs
+    if config.protocol is ProtocolKind.DBCP:
+        factor = distance_factor(d_bs, d_avg)
     else:
-        rate = tuple(probs.for_tier(tier) for tier in NodeTier)
-    if protocol is ProtocolKind.DBCP:
-        return rate, distance_factor(d_bs, d_avg)
-    return rate, np.ones(len(d_bs))
+        factor = np.ones(len(d_bs))
+    return rate, np.array([epoch_length(p) for p in rate]), factor
 
 
 def elect_heads(state, alive: np.ndarray, r: int, rng: random.Random) -> np.ndarray:

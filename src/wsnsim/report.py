@@ -39,22 +39,10 @@ class MetricStats:
 
 @dataclass(frozen=True)
 class ProtocolAggregate:
-    protocol: ProtocolKind
     n_seeds: int
     stats: dict[str, MetricStats]  # keyed by METRIC_NAMES
     alive_mean: list[float]  # per round, padded to the longest run
     packets_cum_mean: list[float]
-
-
-@dataclass(frozen=True)
-class ComparisonResult:
-    protocols: list[ProtocolAggregate]
-
-    def for_protocol(self, protocol: ProtocolKind) -> ProtocolAggregate:
-        for agg in self.protocols:
-            if agg.protocol is protocol:
-                return agg
-        raise KeyError(protocol.value)
 
 
 def _neutral_config(config) -> object:
@@ -68,9 +56,9 @@ def _event_or_cap(value: int | None, rounds_simulated: int) -> int:
     return value if value is not None else rounds_simulated
 
 
-def aggregate(results: Sequence[RunResult]) -> ComparisonResult:
+def aggregate(results: Sequence[RunResult]) -> dict[ProtocolKind, ProtocolAggregate]:
     """Mean/stddev of the lifecycle metrics plus mean per-round curves,
-    grouped by protocol.
+    keyed by protocol in the order the protocols first appear in `results`.
 
     Requires a paired design: every protocol present must cover exactly the
     same seed set, and all runs must agree on every config field other than
@@ -105,7 +93,7 @@ def aggregate(results: Sequence[RunResult]) -> ComparisonResult:
         raise ValueError(f"protocols cover different seed sets: {seed_sets}")
 
     longest = max(len(run.series) for run in results)
-    aggregates = []
+    aggregates = {}
     for proto, runs in by_protocol.items():
         runs = sorted(runs, key=lambda run: run.config.seed)
         fnd = [_event_or_cap(r.summary.fnd_round, r.summary.rounds_simulated) for r in runs]
@@ -123,16 +111,13 @@ def aggregate(results: Sequence[RunResult]) -> ComparisonResult:
             alive[i, :k] = [m.alive_total for m in run.series]
             cum[i, :k] = [m.packets_to_bs_cum for m in run.series]
             cum[i, k:] = run.series[-1].packets_to_bs_cum
-        aggregates.append(
-            ProtocolAggregate(
-                protocol=proto,
-                n_seeds=len(runs),
-                stats=stats,
-                alive_mean=alive.mean(axis=0).tolist(),
-                packets_cum_mean=cum.mean(axis=0).tolist(),
-            )
+        aggregates[proto] = ProtocolAggregate(
+            n_seeds=len(runs),
+            stats=stats,
+            alive_mean=alive.mean(axis=0).tolist(),
+            packets_cum_mean=cum.mean(axis=0).tolist(),
         )
-    return ComparisonResult(protocols=aggregates)
+    return aggregates
 
 
 def _write_rows(path, header: list[str], rows: Iterable[Iterable]) -> None:
@@ -151,14 +136,23 @@ def write_series(series: Sequence[RoundMetrics], path) -> None:
 
 def read_series(path) -> list[RoundMetrics]:
     """Inverse of write_series; values round-trip exactly.  Rows are read by
-    position, so a file whose header is not SERIES_COLUMNS is rejected."""
+    position, so a file whose header is not SERIES_COLUMNS is rejected, and so
+    is a row with the wrong number of fields or a value that does not parse."""
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
         header = next(rows, None)
         if header != SERIES_COLUMNS:
             raise ValueError(f"{path}: series header {header} is not {SERIES_COLUMNS}")
-        # every field but the last (residual_energy_j) is an int
-        return [RoundMetrics(*map(int, row[:-1]), float(row[-1])) for row in rows]
+        series = []
+        for row in rows:
+            try:
+                if len(row) != len(SERIES_COLUMNS):
+                    raise ValueError(f"{len(row)} fields, not {len(SERIES_COLUMNS)}")
+                # every field but the last (residual_energy_j) is an int
+                series.append(RoundMetrics(*map(int, row[:-1]), float(row[-1])))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {rows.line_num}: bad series row: {exc}") from None
+        return series
 
 
 def write_summary(results: Sequence[RunResult], path) -> None:
@@ -170,47 +164,48 @@ def write_summary(results: Sequence[RunResult], path) -> None:
     )
 
 
-def _stats_rows(comparison: ComparisonResult) -> Iterator[tuple]:
-    """(aggregate, metric name, MetricStats) for every protocol and metric."""
-    for agg in comparison.protocols:
+def _stats_rows(comparison: dict[ProtocolKind, ProtocolAggregate]) -> Iterator[tuple]:
+    """(protocol, aggregate, metric name, MetricStats) for every protocol and
+    metric."""
+    for proto, agg in comparison.items():
         for metric in METRIC_NAMES:
-            yield agg, metric, agg.stats[metric]
+            yield proto, agg, metric, agg.stats[metric]
 
 
-def write_comparison(comparison: ComparisonResult, path) -> None:
+def write_comparison(comparison: dict[ProtocolKind, ProtocolAggregate], path) -> None:
     _write_rows(
         path,
         COMPARISON_COLUMNS,
         (
-            [agg.protocol.value, metric, s.mean, s.stddev, agg.n_seeds]
-            for agg, metric, s in _stats_rows(comparison)
+            [proto.value, metric, s.mean, s.stddev, agg.n_seeds]
+            for proto, agg, metric, s in _stats_rows(comparison)
         ),
     )
 
 
-def write_mean_curves(comparison: ComparisonResult, path) -> None:
+def write_mean_curves(comparison: dict[ProtocolKind, ProtocolAggregate], path) -> None:
     """Long-format per-round mean alive/cumulative-packet curves."""
     _write_rows(
         path,
         ["protocol", "round", "alive_mean", "packets_cum_mean"],
         (
-            [agg.protocol.value, i + 1, alive, cum]
-            for agg in comparison.protocols
+            [proto.value, i + 1, alive, cum]
+            for proto, agg in comparison.items()
             for i, (alive, cum) in enumerate(zip(agg.alive_mean, agg.packets_cum_mean))
         ),
     )
 
 
 def write_sweep(
-    entries: Sequence[tuple[float, ComparisonResult]], path
+    entries: Sequence[tuple[float, dict[ProtocolKind, ProtocolAggregate]]], path
 ) -> None:
     """Flatten (param value, comparison) pairs into the sweep CSV."""
     _write_rows(
         path,
         SWEEP_COLUMNS,
         (
-            [value, agg.protocol.value, metric, s.mean, s.stddev]
+            [value, proto.value, metric, s.mean, s.stddev]
             for value, comparison in entries
-            for agg, metric, s in _stats_rows(comparison)
+            for proto, _, metric, s in _stats_rows(comparison)
         ),
     )

@@ -22,10 +22,15 @@ import numpy as np
 import pytest
 
 from wsnsim import cli, engine, report
-from wsnsim.election import distance_factor, sep_threshold, threshold, weighted_probabilities
 from wsnsim.engine import initial_state, simulate_round
 from wsnsim.model import NodeTier, ProtocolKind, SimConfig, deploy
-from wsnsim.protocols import elect_heads
+from wsnsim.protocols import (
+    distance_factor,
+    elect_heads,
+    sep_threshold,
+    threshold,
+    weighted_probabilities,
+)
 from wsnsim.radio import crossover_distance, rx_energy, tx_energy
 
 PROTOCOLS = (ProtocolKind.LEACH, ProtocolKind.SEP, ProtocolKind.DBCP)
@@ -270,7 +275,7 @@ def orderings_hold(fnd, lnd, packets, curves):
 def measures_from(comparison):
     fnd, lnd, packets, curves = {}, {}, {}, {}
     for protocol in PROTOCOLS:
-        agg = comparison.for_protocol(protocol)
+        agg = comparison[protocol]
         key = protocol.value
         fnd[key] = agg.stats["fnd"].mean
         lnd[key] = agg.stats["lnd"].mean

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from wsnsim import engine
+from wsnsim import cli, engine
 from wsnsim.cli import config_to_dict, derived_values, main, parse_config, run_batch
 from wsnsim.model import ProtocolKind, SimConfig
 
@@ -188,9 +188,15 @@ class TestCompareCommand:
              "--max-rounds", "30", "--workers", "1"]
         )
         captured = capsys.readouterr().out
-        assert "protocol" in captured
-        for name in ("leach", "sep", "dbcp"):
-            assert name in captured
+        header, *rows = captured.splitlines()
+        assert header.split() == [
+            "protocol", "fnd_mean", "hnd_mean", "lnd_mean", "total_packets_mean"
+        ]
+        assert [row.split()[0] for row in rows] == ["leach", "sep", "dbcp"]
+        # every column ends where its header name ends
+        ends = [m.end() for m in re.finditer(r"\S+", header)]
+        for row in rows:
+            assert [m.end() for m in re.finditer(r"\S+", row)][1:] == ends[1:]
 
     def test_unwritable_out_dir_fails_cleanly(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -250,6 +256,8 @@ class TestSweepCommand:
             assert (out / point / "comparison.csv").exists()
         rows = read_csv(out / "sweep.csv")
         assert len(rows) == 3 * 3 * 4  # values x protocols x metrics
+        echoed = json.loads((out / "config.json").read_text())
+        assert echoed == config_to_dict(SimConfig(n=16, max_rounds=30))
 
     def test_zero_multiplier_edge_runs_and_matches(self, tmp_path):
         """a=0 with b=0 leaves every tier at the base energy and collapses the
@@ -266,11 +274,59 @@ class TestSweepCommand:
             assert code == 0
             rows = read_csv(out / "sweep.csv")
             results[param] = {(r["protocol"], r["metric"]): r["mean"] for r in rows}
+        # the a-sweep's base (default a, b=0) breaks b >= a and never runs;
+        # the b-sweep's base (a=0, default b) is valid
+        assert not (tmp_path / "swp_a" / "config.json").exists()
+        assert (tmp_path / "swp_b" / "config.json").exists()
         for table in results.values():
             for metric in ("fnd", "hnd", "lnd", "total_packets"):
                 assert table[("sep", metric)] == table[("leach", metric)]
         # both sweeps pinned the identical (a=0, b=0) config
         assert results["a"] == results["b"]
+
+    @pytest.mark.parametrize("change", ["rewrite", "delete"])
+    def test_config_file_read_once(self, tmp_path, monkeypatch, change):
+        """Editing or deleting the config file while the sweep runs changes
+        nothing: every point and the top-level echo come from one read."""
+        config = write_config(tmp_path, n=12, max_rounds=20)
+        calls = []
+
+        def run_batch_then_change(configs, workers=None):
+            if not calls:
+                if change == "rewrite":
+                    write_config(tmp_path, n=50, max_rounds=20)
+                else:
+                    config.unlink()
+            calls.append(configs)
+            return run_batch(configs, workers)
+
+        monkeypatch.setattr(cli, "run_batch", run_batch_then_change)
+        out = tmp_path / "swp"
+        code = main(
+            ["sweep", "--config", str(config), "--param", "m", "--values", "0.1,0.3",
+             "--out", str(out), "--seeds", "1..1", "--workers", "1"]
+        )
+        assert code == 0
+        assert len(calls) == 2
+        assert {c.n for batch in calls for c in batch} == {12}
+        echoed = json.loads((out / "config.json").read_text())
+        assert echoed == config_to_dict(SimConfig(n=12, max_rounds=20))
+        for point, m in (("m_0.1", 0.1), ("m_0.3", 0.3)):
+            assert json.loads((out / point / "config.json").read_text()) == {**echoed, "m": m}
+
+    def test_base_with_invalid_tier_rates_writes_no_echo(self, tmp_path):
+        """The base here is a valid SimConfig whose super-tier rate reaches 1;
+        it never runs, so the top level gets neither config nor derived echo."""
+        out = tmp_path / "swp"
+        code = main(
+            ["sweep", "--param", "b", "--values", "0", "--a", "0", "--m0", "0.05",
+             "--p-opt", "0.5", "--b", "20", "--out", str(out), "--n", "12",
+             "--max-rounds", "20", "--seeds", "1..1", "--workers", "1"]
+        )
+        assert code == 0
+        assert (out / "b_0" / "derived.json").exists()
+        assert not (out / "config.json").exists()
+        assert not (out / "derived.json").exists()
 
     def test_out_of_range_value_rejected(self, tmp_path):
         code = main(

@@ -10,16 +10,16 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from wsnsim.election import (
+from wsnsim.engine import initial_state
+from wsnsim.model import NodeTier, ProtocolKind, SimConfig
+from wsnsim.protocols import (
     distance_factor,
+    elect_heads,
     epoch_length,
     sep_threshold,
     threshold,
     weighted_probabilities,
 )
-from wsnsim.engine import initial_state
-from wsnsim.model import NodeTier, ProtocolKind, SimConfig
-from wsnsim.protocols import elect_heads
 
 
 def dbcp_threshold(p, r, eligible, d_i, d_avg):
@@ -78,11 +78,10 @@ class TestWeightedProbabilities:
         )
         assert mixture == pytest.approx(h.p_opt, abs=1e-12)
 
-    def test_for_tier_dispatch(self):
+    def test_fields_in_tier_order(self):
+        # the tuple is indexed by tier number, so its fields follow NodeTier
         probs = weighted_probabilities(SimConfig())
-        assert probs.for_tier(NodeTier.NORMAL) == probs.p_normal
-        assert probs.for_tier(NodeTier.ADVANCED) == probs.p_advanced
-        assert probs.for_tier(NodeTier.SUPER) == probs.p_super
+        assert probs._fields == tuple(f"p_{tier.value}" for tier in NodeTier)
 
 
 class TestEpochLength:

@@ -13,10 +13,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wsnsim import protocols
-from wsnsim.election import epoch_length, sep_threshold, threshold, weighted_probabilities
 from wsnsim.engine import initial_state
 from wsnsim.model import NodeTier, ProtocolKind, SimConfig, deploy
-from wsnsim.protocols import _nearest_dense, _nearest_grid, elect_heads, form_clusters
+from wsnsim.protocols import (
+    _nearest_dense,
+    _nearest_grid,
+    elect_heads,
+    epoch_length,
+    form_clusters,
+    sep_threshold,
+    threshold,
+    weighted_probabilities,
+)
 
 P_OPT = 0.1
 PROBS = weighted_probabilities(SimConfig(p_opt=P_OPT))
@@ -43,7 +51,7 @@ def reference_threshold(protocol, tier, d, d_avg, r, eligible, probs=PROBS, p_op
     threshold 1 / (1/p - r mod ceil(1/p)), with 1/p snapped to an integer
     within 1e-9, clamped to 1; scaled by 1 - d/d_avg under dbcp for nodes
     nearer than the average; 0 when not eligible.  Also returns the epoch."""
-    p = p_opt if protocol is ProtocolKind.LEACH else probs.for_tier(tier)
+    p = p_opt if protocol is ProtocolKind.LEACH else probs[list(NodeTier).index(tier)]
     inv = 1.0 / p
     if round(inv) >= 1 and abs(inv - round(inv)) <= 1e-9 * round(inv):
         inv = float(round(inv))

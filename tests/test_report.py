@@ -114,6 +114,21 @@ class TestSeriesSerialization:
         with pytest.raises(ValueError, match="swapped.csv"):
             read_series(path)
 
+    @pytest.mark.parametrize(
+        "spoil",
+        [lambda row: row[:-1], lambda row: [*row, "0"], lambda row: [row[0], "four", *row[2:]]],
+        ids=["truncated", "extra_field", "non_numeric"],
+    )
+    def test_read_rejects_malformed_row(self, tmp_path, spoil):
+        path = tmp_path / "spoiled.csv"
+        write_series([metrics_row(1), metrics_row(2)], path)
+        with open(path, newline="") as fh:
+            header, first, second = csv.reader(fh)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, first, spoil(second)])
+        with pytest.raises(ValueError, match=r"spoiled\.csv, line 3"):
+            read_series(path)
+
     def test_write_error_names_path(self, tmp_path):
         target = tmp_path / "missing_dir" / "series.csv"
         with pytest.raises(OSError, match="series.csv"):
@@ -140,7 +155,7 @@ class TestSummarySerialization:
 class TestAggregate:
     def test_single_run_per_protocol(self):
         comparison = aggregate(default_trio())
-        leach = comparison.for_protocol(ProtocolKind.LEACH)
+        leach = comparison[ProtocolKind.LEACH]
         assert leach.n_seeds == 1
         assert leach.stats["fnd"].mean == 2.0
         assert leach.stats["fnd"].stddev == 0.0
@@ -149,14 +164,14 @@ class TestAggregate:
     def test_censoring_at_rounds_simulated(self):
         comparison = aggregate(default_trio())
         # sep never lost a node: events count as the run cap for the mean
-        sep = comparison.for_protocol(ProtocolKind.SEP)
+        sep = comparison[ProtocolKind.SEP]
         assert sep.stats["fnd"].mean == 2.0
         assert sep.stats["lnd"].mean == 2.0
 
     def test_repeated_seed_has_zero_stddev(self):
         runs = [make_run(ProtocolKind.LEACH, 5, [4, 3], [1, 2], fnd=2) for _ in range(2)]
         comparison = aggregate(runs)
-        leach = comparison.for_protocol(ProtocolKind.LEACH)
+        leach = comparison[ProtocolKind.LEACH]
         assert leach.n_seeds == 2
         assert leach.stats["fnd"].stddev == 0.0
 
@@ -165,7 +180,7 @@ class TestAggregate:
             make_run(ProtocolKind.LEACH, 1, [4, 3], [1, 2], fnd=2),
             make_run(ProtocolKind.LEACH, 2, [4, 3], [1, 4], fnd=1, hnd=1),
         ]
-        leach = aggregate(runs).for_protocol(ProtocolKind.LEACH)
+        leach = aggregate(runs)[ProtocolKind.LEACH]
         assert leach.stats["fnd"].mean == 1.5
         assert leach.stats["fnd"].stddev == 0.5  # population stddev
         assert leach.stats["total_packets"].mean == 3.0
@@ -175,7 +190,7 @@ class TestAggregate:
             make_run(ProtocolKind.LEACH, 1, [4, 2, 1], [1, 2, 3], fnd=1),
             make_run(ProtocolKind.LEACH, 2, [4], [2], fnd=1, hnd=1, lnd=1),
         ]
-        leach = aggregate(runs).for_protocol(ProtocolKind.LEACH)
+        leach = aggregate(runs)[ProtocolKind.LEACH]
         assert leach.alive_mean == [4.0, 1.0, 0.5]
         assert leach.packets_cum_mean == [1.5, 2.0, 2.5]
 
@@ -184,8 +199,8 @@ class TestAggregate:
         forward = aggregate(runs)
         backward = aggregate(list(reversed(runs)))
         for protocol in ProtocolKind:
-            f = forward.for_protocol(protocol)
-            b = backward.for_protocol(protocol)
+            f = forward[protocol]
+            b = backward[protocol]
             assert f.stats == b.stats
             assert f.alive_mean == b.alive_mean
             assert f.packets_cum_mean == b.packets_cum_mean
@@ -211,7 +226,7 @@ class TestAggregate:
             [make_run(ProtocolKind.LEACH, 1, [4], [1])]
         )
         with pytest.raises(KeyError):
-            comparison.for_protocol(ProtocolKind.DBCP)
+            comparison[ProtocolKind.DBCP]
 
 
 class TestComparisonSerialization:
