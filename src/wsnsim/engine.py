@@ -19,10 +19,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import Deployment, NodeTier, SimConfig, deploy
-from .protocols import elect_heads, election_rule, form_clusters
+from .protocols import elect_heads, election_rule, form_clusters, squared_distances
 from .radio import aggregation_energy, rx_energy, tx_energy
 
 logger = logging.getLogger(__name__)
+
+# Largest network for which initial_state builds the PairTables.  On one core
+# of a 2-vCPU Xeon VM, over the first 400 rounds of default-config runs (100
+# rounds at n >= 500), the tables took 0.75, 1.6, 9.4, 38 and 150 ms to build
+# at n = 50, 100, 256, 500 and 1000 and saved 31, 49, 78, 97 and 520 us per
+# round, so they paid for themselves after about 20, 30, 120, 390 and 290
+# rounds.  They take 3 * n * n * 8 bytes: 1.5 MiB at 256, 23 MiB at 1000.  A
+# default n=100 run lasts 10000 rounds and an e0=0.05 one about 2400; at 256
+# nodes a run breaks even within about 120 rounds and holds 1.5 MiB of tables.
+PAIR_TABLE_MAX_NODES = 256
 
 
 class RoundMetrics(NamedTuple):
@@ -53,20 +63,35 @@ class SummaryMetrics(NamedTuple):
     rounds_simulated: int
 
 
+class PairTables(NamedTuple):
+    """Node x node tables of a run's fixed geometry, entry [i, j] for the
+    pair (i, j): the squared distance form_clusters compares, the link
+    length member_links measures, and tx_energy over that link for the
+    run's packet_bits."""
+
+    d2: np.ndarray
+    link: np.ndarray
+    tx: np.ndarray
+
+
 @dataclass
 class EngineState:
     """The node table of one run, every array indexed by node id, and the
     run's running totals.
 
     `alive` holds the ids of the alive nodes in ascending order.  A node may
-    be elected again from round `eligible_from[i]` on.  `rate` and `epoch`
-    hold the election rate and eligibility epoch of each tier (NodeTier
-    order); `factor` is each node's dbcp distance factor, 1 under leach and
-    sep; `bs_cost` is each node's transmit cost to the base station.  All
-    but `energy`, `alive`, `eligible_from` and the totals are fixed at
-    initial_state.
+    be elected again from round `eligible_from[i]` on.  `rate`, `epoch` and
+    `ramp` hold the election rate, eligibility epoch and threshold ramp of
+    each tier (NodeTier order, see protocols.election_rule); `factor` is
+    each node's dbcp distance factor, 1 under leach and sep; `bs_cost` is
+    each node's transmit cost to the base station; `fuse_cost[k]` is what a
+    head pays to receive k members and fuse k+1 signals; `pairs` holds the
+    PairTables of a network of at most PAIR_TABLE_MAX_NODES nodes, else
+    None.  All but `energy`, `alive`, `eligible_from` and the totals are
+    fixed at initial_state.
     """
 
+    config: SimConfig
     x: np.ndarray
     y: np.ndarray
     d_bs: np.ndarray
@@ -75,9 +100,12 @@ class EngineState:
     alive: np.ndarray
     eligible_from: np.ndarray
     bs_cost: np.ndarray
+    fuse_cost: np.ndarray
     rate: tuple[float, ...]
     epoch: np.ndarray
+    ramp: tuple[list[float], ...]
     factor: np.ndarray
+    pairs: PairTables | None
     d_avg: float
     alive_by_tier: list[int]
     packets_cum: int = 0
@@ -123,55 +151,73 @@ def _sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
     return float(np.add.accumulate(values)[-1])
 
 
+def member_links(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Link lengths for 1-D arrays of coordinate differences, by math.hypot,
+    which np.hypot does not match in the last bit."""
+    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
+
+
+def pair_tables(config: SimConfig, x: np.ndarray, y: np.ndarray) -> PairTables:
+    """The PairTables of nodes at (x, y).  math.hypot ignores the signs of
+    its arguments, so each link is measured once and mirrored."""
+    i, j = np.triu_indices(len(x), 1)
+    link = np.zeros((len(x), len(x)))
+    link[i, j] = link[j, i] = member_links(x[i] - x[j], y[i] - y[j])
+    return PairTables(
+        squared_distances(x, y, x, y), link, tx_energy(config, config.packet_bits, link)
+    )
+
+
 def transmission_costs(
     state: EngineState,
     heads: np.ndarray,
     members: np.ndarray,
     head_of: np.ndarray | None,
-    config: SimConfig,
 ) -> Ledger:
     """Energy cost of one round's traffic, for the clusters form_clusters
-    returned, priced for the config's packet_bits.
+    returned, priced for the run's config.
 
     Members pay one transmission to their head; heads pay reception per
     member, aggregation over members+1 signals, and one transmission to the
     base station.  Without heads (`head_of` None) every node of `members`
-    pays one transmission to the base station.  Member links are measured
-    with math.hypot, which np.hypot does not match in the last bit.
+    pays one transmission to the base station.  Member links and their
+    costs come from the run's PairTables if it has them, else they are
+    measured and priced here.
     """
     if head_of is None:
         return Ledger(members, state.bs_cost[members], np.empty(0))
     order = head_of.argsort(kind="stable")  # cluster by cluster, ids ascending
     members, head_of = members[order], head_of[order]
     head_ids = heads[head_of]
-    dx = state.x[members] - state.x[head_ids]
-    dy = state.y[members] - state.y[head_ids]
-    links = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
+    if state.pairs is None:
+        links = member_links(
+            state.x[members] - state.x[head_ids], state.y[members] - state.y[head_ids]
+        )
+        member_costs = tx_energy(state.config, state.config.packet_bits, links)
+    else:
+        at = members * len(state.x) + head_ids
+        links, member_costs = state.pairs.link.take(at), state.pairs.tx.take(at)
     n_members = np.bincount(head_of, minlength=len(heads))
     # member j of cluster k follows k heads; head k follows its cluster
     member_at = np.arange(len(members)) + head_of
     head_at = n_members.cumsum() + np.arange(len(heads))
     ids = np.empty(len(members) + len(heads), dtype=np.intp)
     costs = np.empty(len(ids))
-    bits = config.packet_bits
-    ids[member_at], costs[member_at] = members, tx_energy(config, bits, links)
+    ids[member_at], costs[member_at] = members, member_costs
     ids[head_at] = heads
-    costs[head_at] = (
-        n_members * rx_energy(config, bits)
-        + aggregation_energy(config, bits, n_members + 1)
-        + state.bs_cost[heads]
-    )
+    costs[head_at] = state.fuse_cost[n_members] + state.bs_cost[heads]
     return Ledger(ids, costs, links)
 
 
-def simulate_round(
-    state: EngineState, r: int, config: SimConfig, rng: random.Random
-) -> RoundMetrics:
+def simulate_round(state: EngineState, r: int, rng: random.Random) -> RoundMetrics:
     """Advance the network one round; returns metrics sampled at round end."""
     alive = state.alive
     heads = elect_heads(state, alive, r, rng)
-    members, head_of = form_clusters(alive, heads, state.x, state.y)
-    ledger = transmission_costs(state, heads, members, head_of, config)
+    pairs = state.pairs
+    members, head_of = form_clusters(
+        alive, heads, state.x, state.y, None if pairs is None else pairs.d2
+    )
+    ledger = transmission_costs(state, heads, members, head_of)
 
     # a node that cannot cover its cost still acts, then dies with 0 J left;
     # the ledger charges it only what it had
@@ -209,12 +255,16 @@ def simulate_round(
 
 def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
     """Engine state for a fresh deployment; the distance average, the
-    election rule's rates, epochs and factors, and the base-station transmit
-    costs are fixed here and never recomputed."""
+    election rule's rates, epochs, threshold ramps and factors, the
+    base-station transmit costs and, for a small network, the pair tables
+    are fixed here and never recomputed."""
     n = len(nodes.x)
     d_avg = _sequential_sum(nodes.d_bs) / n
-    rate, epoch, factor = election_rule(config, nodes.d_bs, d_avg)
+    rate, epoch, ramp, factor = election_rule(config, nodes.d_bs, d_avg)
+    bits = config.packet_bits
+    k = np.arange(n)  # a head's member count
     return EngineState(
+        config=config,
         x=nodes.x,
         y=nodes.y,
         d_bs=nodes.d_bs,
@@ -222,10 +272,13 @@ def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
         energy=nodes.energy.copy(),
         alive=np.arange(n),
         eligible_from=np.zeros(n, dtype=np.int64),
-        bs_cost=tx_energy(config, config.packet_bits, nodes.d_bs),
+        bs_cost=tx_energy(config, bits, nodes.d_bs),
+        fuse_cost=k * rx_energy(config, bits) + aggregation_energy(config, bits, k + 1),
         rate=rate,
         epoch=epoch,
+        ramp=ramp,
         factor=factor,
+        pairs=pair_tables(config, nodes.x, nodes.y) if n <= PAIR_TABLE_MAX_NODES else None,
         d_avg=d_avg,
         alive_by_tier=np.bincount(nodes.tier, minlength=len(NodeTier)).tolist(),
     )
@@ -242,7 +295,7 @@ def run(config: SimConfig) -> RunResult:
     fnd = hnd = lnd = None
     half = config.n // 2
     for r in range(config.max_rounds):
-        metrics = simulate_round(state, r, config, rng)
+        metrics = simulate_round(state, r, rng)
         series.append(metrics)
         alive = metrics.alive_total
         if fnd is None and alive < config.n:

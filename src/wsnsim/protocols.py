@@ -7,9 +7,10 @@ DBCP:  SEP rates with the near-node distance factor applied on top.
 Thresholds follow the rotating-eligibility scheme: each node may serve once
 per epoch of ceil(1/p) rounds, with the per-round threshold ramping up to 1
 at the end of the epoch so that every eligible node has served exactly once
-by the time the epoch wraps.  election_rule fixes a run's tier rates, epochs
-and distance factors; elect_heads draws each round's heads against them and
-form_clusters attaches every other alive node to its nearest head.
+by the time the epoch wraps.  election_rule fixes a run's tier rates, epochs,
+threshold ramps and distance factors; elect_heads draws each round's heads
+against them and form_clusters attaches every other alive node to its nearest
+head.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "sep_threshold",
     "distance_factor",
     "threshold",
+    "squared_distances",
     "election_rule",
     "elect_heads",
     "form_clusters",
@@ -52,6 +54,8 @@ def weighted_probabilities(config: SimConfig) -> TierProbabilities:
     population-average probability stays exactly p_opt:
 
         (1-m)*p_n + (m-m0)*p_a + m0*p_s == p_opt
+
+    Every tier needs a rate below 1 and an epoch ceil(1/p) that is finite.
     """
     a, b = config.a, config.b
     p_n = config.p_opt / (1.0 + a * (config.m - config.m0) + b * config.m0)
@@ -61,6 +65,11 @@ def weighted_probabilities(config: SimConfig) -> TierProbabilities:
             raise ValueError(
                 f"{name}={p:.6g} is not a probability; "
                 f"p_opt={config.p_opt} with multipliers a={a}, b={b} is too large"
+            )
+        if not p > 0.0 or math.isinf(1.0 / p):
+            raise ValueError(
+                f"{name}={p:.6g} has no finite epoch; "
+                f"p_opt={config.p_opt} with multipliers a={a}, b={b} is too small"
             )
     return probs
 
@@ -113,18 +122,25 @@ def threshold(tier_thresholds, tier, factor, eligible) -> np.ndarray:
 
 def election_rule(
     config: SimConfig, d_bs, d_avg: float
-) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
-    """The election rate and eligibility epoch of each tier (in NodeTier
-    order) and the distance factor of each node under config.protocol.
+) -> tuple[tuple[float, ...], np.ndarray, tuple[list[float], ...], np.ndarray]:
+    """The election rate, eligibility epoch and threshold ramp of each tier
+    (in NodeTier order) and the distance factor of each node under
+    config.protocol.  A tier's ramp entry k is sep_threshold(rate, k), for k
+    below min(epoch, max_rounds), so round r looks up entry r % epoch.
     weighted_probabilities runs under every protocol, leach included, so a
     config whose tier rates are not probabilities fails under all three."""
     probs = weighted_probabilities(config)
     rate = (config.p_opt,) * len(NodeTier) if config.protocol is ProtocolKind.LEACH else probs
+    epoch = [epoch_length(p) for p in rate]
+    ramp = tuple(
+        [sep_threshold(p, k) for k in range(min(e, config.max_rounds))]
+        for p, e in zip(rate, epoch)
+    )
     if config.protocol is ProtocolKind.DBCP:
         factor = distance_factor(d_bs, d_avg)
     else:
         factor = np.ones(len(d_bs))
-    return rate, np.array([epoch_length(p) for p in rate]), factor
+    return rate, np.array(epoch), ramp, factor
 
 
 def elect_heads(state, alive: np.ndarray, r: int, rng: random.Random) -> np.ndarray:
@@ -133,16 +149,16 @@ def elect_heads(state, alive: np.ndarray, r: int, rng: random.Random) -> np.ndar
     Elected nodes are marked ineligible for the remainder of their tier
     epoch.  Returns the head ids in ascending order.
 
-    `state` is the run's node table (engine.EngineState): per-tier rate and
-    epoch, per-node tier, distance factor and first round of renewed
-    eligibility.
+    `state` is the run's node table (engine.EngineState): per-tier epoch and
+    threshold ramp, per-node tier, distance factor and first round of renewed
+    eligibility.  `r` is below the run's max_rounds, where the ramps end.
     """
     # every alive node draws, eligible or not (determinism contract); the
     # iterator never ends, and fromiter takes exactly len(alive) draws
     u = np.fromiter(iter(rng.random, None), float, len(alive))
     tier = state.tier[alive]
     t = threshold(
-        [sep_threshold(p, r) for p in state.rate],
+        [ramp[r % e] for ramp, e in zip(state.ramp, state.epoch.tolist())],
         tier,
         state.factor[alive],
         r >= state.eligible_from[alive],
@@ -164,12 +180,18 @@ def elect_heads(state, alive: np.ndarray, r: int, rng: random.Random) -> np.ndar
 GRID_MIN_PAIRS = 50_000
 
 
+def squared_distances(ax, ay, bx, by) -> np.ndarray:
+    """The a x b matrix of squared distances from points (ax, ay) to points
+    (bx, by): the one expression both nearest-head searches and the
+    engine's pair table compare."""
+    return (ax[:, None] - bx[None, :]) ** 2 + (ay[:, None] - by[None, :]) ** 2
+
+
 def _nearest_dense(mx, my, hx, hy) -> np.ndarray:
     """Index of each member's nearest head: the first minimum of the full
     member x head matrix of squared distances, so ties go to the lowest
     head index."""
-    d2 = (mx[:, None] - hx[None, :]) ** 2 + (my[:, None] - hy[None, :]) ** 2
-    return d2.argmin(axis=1)
+    return squared_distances(mx, my, hx, hy).argmin(axis=1)
 
 
 def _nearest_grid(mx, my, hx, hy) -> np.ndarray:
@@ -251,7 +273,11 @@ def _nearest_grid(mx, my, hx, hy) -> np.ndarray:
 
 
 def form_clusters(
-    alive: np.ndarray, heads: np.ndarray, x: np.ndarray, y: np.ndarray
+    alive: np.ndarray,
+    heads: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    d2: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Attach every alive non-head node to its nearest head by squared
     Euclidean distance.  `alive` and `heads` hold ascending node ids and `x`,
@@ -260,15 +286,19 @@ def form_clusters(
     distances go to the lower index, and so to the lower head id.  With no
     heads at all the second item is None: every alive node is unclustered.
 
-    Rounds with fewer than GRID_MIN_PAIRS member x head pairs compare every
-    member with every head (_nearest_dense); larger ones search a cell grid
-    (_nearest_grid) that gives the same assignment.
+    `d2`, if given, is every node pair's squared_distances, built once per
+    run; the nearest head is then the first minimum of its member x head
+    block.  Otherwise rounds with fewer than GRID_MIN_PAIRS member x head
+    pairs compare every member with every head (_nearest_dense); larger ones
+    search a cell grid (_nearest_grid) that gives the same assignment.
     """
     if not len(heads):
         return alive, None
     is_head = np.zeros(len(x), dtype=bool)
     is_head[heads] = True
     members = alive[~is_head[alive]]
+    if d2 is not None:
+        return members, d2.take(heads, axis=1).take(members, axis=0).argmin(axis=1)
     search = (
         _nearest_grid
         if len(members) * len(heads) >= GRID_MIN_PAIRS

@@ -201,7 +201,7 @@ def test_criterion_5_single_cluster_closed_form(make_deployment):
     state.eligible_from[1:] = 10**9
     before = sum(nodes.energy.tolist())
     # round 9 closes the p=0.1 epoch, so the sole eligible node is certain
-    metrics = simulate_round(state, 9, config, random.Random(3))
+    metrics = simulate_round(state, 9, random.Random(3))
     after = sum(state.energy.tolist())
     engine_spend = before - after
 

@@ -148,6 +148,27 @@ class TestRunCommand:
         assert code == 2
         assert "m0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, rule",
+        [
+            (["--packet-bits", "9223372036854775808"], "packet_bits must be <= 2**31"),
+            (["--p-opt", "5e-324"], "p_normal=4.94066e-324 has no finite epoch"),
+            (
+                ["--p-opt", "1e-300", "--a", "1e300", "--b", "1e300", "--m", "0.6",
+                 "--m0", "0.5"],
+                "p_normal=0 has no finite epoch",
+            ),
+        ],
+        ids=["packet_bits_past_int64", "p_opt_inverse_overflows", "p_normal_underflows"],
+    )
+    def test_unrunnable_config_exits_2(self, tmp_path, capsys, flags, rule):
+        out = tmp_path / "x"
+        code = main(["run", "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and rule in err and "Traceback" not in err
+        assert not out.exists() or not list(out.iterdir())  # no file written
+
     def test_non_finite_flag_rejected(self, tmp_path, capsys):
         out = tmp_path / "x"
         code = main(["run", "--out", str(out), "--bs-x", "nan"])

@@ -10,6 +10,10 @@ under another package name and is only read.
 A config that breaks two range rules at once reports the rule checked first,
 so the order of the config checks is pinned on hand-picked configs as well.
 
+The engine prices networks of up to engine.PAIR_TABLE_MAX_NODES nodes from
+tables built once per run and larger ones round by round; every drawn config
+runs on both paths.
+
 Configs are drawn from the space the engine has to get right: 1 to 250 nodes,
 no super tier or all advanced nodes super, equal or distinct energy
 multipliers, base energies small enough that most networks die, p_opt up to
@@ -95,15 +99,7 @@ def _outcome(config_parser, run, values: dict):
         return str(exc)
 
 
-@settings(
-    max_examples=170,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(overrides())
-def test_engine_matches_seed_copy(values):
+def _assert_matches_seed_copy(values: dict) -> None:
     mine = _outcome(cli.parse_config, engine.run, values)
     seed = _outcome(SEED_CLI.parse_config, SEED_ENGINE.run, values)
     if isinstance(mine, str) or isinstance(seed, str):
@@ -115,6 +111,40 @@ def test_engine_matches_seed_copy(values):
     assert tuple(mine.summary) == dataclasses.astuple(seed.summary)
     for name in TOTALS:
         assert repr(getattr(mine, name)) == repr(getattr(seed, name)), name
+
+
+ORACLE_SETTINGS = settings(
+    max_examples=170,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@ORACLE_SETTINGS
+@given(overrides())
+def test_engine_matches_seed_copy(values):
+    assert values["n"] <= engine.PAIR_TABLE_MAX_NODES  # the pair-table path
+    _assert_matches_seed_copy(values)
+
+
+@ORACLE_SETTINGS
+@given(overrides())
+def test_per_round_path_matches_seed_copy(values):
+    saved, engine.PAIR_TABLE_MAX_NODES = engine.PAIR_TABLE_MAX_NODES, 0
+    try:
+        _assert_matches_seed_copy(values)
+    finally:
+        engine.PAIR_TABLE_MAX_NODES = saved
+
+
+@pytest.mark.parametrize("table_max", [engine.PAIR_TABLE_MAX_NODES, 0], ids=["tables", "per_round"])
+def test_largest_packet_matches_seed_copy(table_max, monkeypatch):
+    """The largest packet_bits: a head fusing all 100 signals multiplies it
+    to about 2**38 in int64, far from wrapping."""
+    monkeypatch.setattr(engine, "PAIR_TABLE_MAX_NODES", table_max)
+    _assert_matches_seed_copy({"packet_bits": 2**31, "e0": 1e30, "max_rounds": 3})
 
 
 # well-typed configs that each break two range rules checked in different

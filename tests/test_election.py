@@ -65,6 +65,18 @@ class TestWeightedProbabilities:
         with pytest.raises(ValueError, match="p_super"):
             weighted_probabilities(SimConfig(p_opt=0.3, m=0.2, m0=0.1, a=0.0, b=9.0))
 
+    @pytest.mark.parametrize(
+        "config, rate",
+        [
+            (SimConfig(p_opt=5e-324), "p_normal=4.94066e-324"),  # 1/p overflows
+            (SimConfig(p_opt=1e-300, a=1e300, b=1e300, m=0.6, m0=0.5), "p_normal=0"),
+        ],
+        ids=["inverse_overflows", "rate_underflows"],
+    )
+    def test_rate_without_finite_epoch_rejected(self, config, rate):
+        with pytest.raises(ValueError, match=f"{rate} has no finite epoch"):
+            weighted_probabilities(config)
+
     @given(h=valid_config)
     def test_population_average_preserved(self, h):
         try:

@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from wsnsim import engine
 from wsnsim.engine import initial_state, simulate_round, transmission_costs
-from wsnsim.model import ProtocolKind, SimConfig
+from wsnsim.model import ProtocolKind, SimConfig, deploy
+from wsnsim.protocols import squared_distances
 from wsnsim.radio import aggregation_energy, rx_energy, tx_energy
 
 
@@ -36,7 +37,6 @@ def ledger_for(nodes, heads, members, head_of, bits=4000):
         np.array(heads, dtype=np.intp),
         np.array(members, dtype=np.intp),
         None if head_of is None else np.array(head_of, dtype=np.intp),
-        config,
     )
 
 
@@ -116,6 +116,47 @@ class TestTransmissionCosts:
         assert ledger.costs.tolist() == [tx_energy(radio, 4000, nodes.d_bs[0])]
 
 
+class TestPairTables:
+    """Small networks take member links and costs from tables built once per
+    run; they must hold exactly what the per-round path computes."""
+
+    def test_built_up_to_the_size_constant(self, monkeypatch):
+        config = SimConfig(n=12)
+        nodes = deploy(config, random.Random(1))
+        monkeypatch.setattr(engine, "PAIR_TABLE_MAX_NODES", 12)
+        assert initial_state(config, nodes).pairs.d2.shape == (12, 12)
+        monkeypatch.setattr(engine, "PAIR_TABLE_MAX_NODES", 11)
+        assert initial_state(config, nodes).pairs is None
+
+    def test_entries_are_the_per_pair_rules(self):
+        config = SimConfig(n=30, packet_bits=1000, d0_override=40.0)
+        nodes = deploy(config, random.Random(4))
+        pairs = initial_state(config, nodes).pairs
+        x, y = nodes.x.tolist(), nodes.y.tolist()
+        for i in range(30):
+            for j in range(30):
+                link = math.hypot(x[i] - x[j], y[i] - y[j])
+                assert pairs.link[i, j] == link
+                assert pairs.tx[i, j] == tx_energy(config, 1000, link)
+        assert pairs.d2.tolist() == squared_distances(nodes.x, nodes.y, nodes.x, nodes.y).tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rounds_identical_on_both_paths(self, monkeypatch, seed):
+        config = SimConfig(n=60, seed=seed, packet_bits=3000, e0=0.01)
+        nodes = deploy(config, random.Random(seed))
+        states = [initial_state(config, nodes)]
+        monkeypatch.setattr(engine, "PAIR_TABLE_MAX_NODES", 0)
+        states.append(initial_state(config, nodes))
+        assert states[1].pairs is None
+        rngs = [random.Random(seed), random.Random(seed)]
+        for r in range(400):
+            a, b = (simulate_round(st, r, g) for st, g in zip(states, rngs))
+            assert a == b
+        assert states[0].energy.tolist() == states[1].energy.tolist()
+        for total in ("energy_dissipated", "member_distance_sum", "head_distance_sum"):
+            assert getattr(states[0], total) == getattr(states[1], total)
+
+
 def rigged_state(nodes, config, sole_head_id=None):
     """Engine state where only `sole_head_id` can be elected (or nobody,
     when None); pair with round r=9 under LEACH so the survivor is certain."""
@@ -131,7 +172,7 @@ class TestSimulateRound:
         config = SimConfig(n=2, protocol=ProtocolKind.LEACH, **homogeneous(1.0))
         nodes = make_deployment([(50.0, 80.0), (50.0, 100.0)])  # head, member
         state = rigged_state(nodes, config, sole_head_id=0)
-        metrics = simulate_round(state, 9, config, random.Random(0))
+        metrics = simulate_round(state, 9, random.Random(0))
         assert metrics.round == 10
         assert metrics.head_count == 1
         assert metrics.packets_to_bs_round == 1
@@ -149,7 +190,7 @@ class TestSimulateRound:
         nodes = make_deployment([(50.0, 55.0 + 5.0 * i) for i in range(4)])
         state = rigged_state(nodes, config, sole_head_id=None)
         before = sum(nodes.energy.tolist())
-        metrics = simulate_round(state, 0, config, random.Random(0))
+        metrics = simulate_round(state, 0, random.Random(0))
         assert metrics.head_count == 0
         assert metrics.packets_to_bs_round == 4
         expected_cost = sum(tx_energy(config, 4000, d) for d in nodes.d_bs.tolist())
@@ -162,7 +203,7 @@ class TestSimulateRound:
             [(50.0, 80.0), (50.0, 100.0), (60.0, 80.0)], energies=[1.0, 1e-9, 1.0]
         )
         state = rigged_state(nodes, config, sole_head_id=0)
-        metrics = simulate_round(state, 9, config, random.Random(0))
+        metrics = simulate_round(state, 9, random.Random(0))
         assert state.alive.tolist() == [0, 2]
         assert state.energy[1] == 0.0
         assert metrics.alive_total == 2
@@ -184,10 +225,10 @@ class TestSimulateRound:
             [(50.0, 80.0), (50.0, 100.0), (60.0, 80.0)], energies=[1.0, 1e-9, 1.0]
         )
         state = rigged_state(nodes, config, sole_head_id=0)
-        simulate_round(state, 9, config, random.Random(0))
+        simulate_round(state, 9, random.Random(0))
         assert 1 not in state.alive
         # next round: nobody eligible -> direct-to-bs fallback for survivors only
-        metrics = simulate_round(state, 10, config, random.Random(1))
+        metrics = simulate_round(state, 10, random.Random(1))
         assert metrics.packets_to_bs_round == 2
         assert state.energy[1] == 0.0
         assert metrics.alive_total == 2
@@ -304,7 +345,7 @@ class TestSingleClusterClosedForm:
         nodes = make_deployment(coords)
         state = rigged_state(nodes, config, sole_head_id=0)
         before = sum(nodes.energy.tolist())
-        metrics = simulate_round(state, 9, config, random.Random(3))
+        metrics = simulate_round(state, 9, random.Random(3))
         assert metrics.head_count == 1
 
         bits, e_elec, eps_fs, eps_mp, e_da = 4000, 5e-9, 10e-12, 0.0013e-12, 5e-9

@@ -55,11 +55,15 @@ class TestSimConfig:
             {"seed": -1},
             {"seed": 2**64},
             {"field_width": 0.0},
+            {"packet_bits": 2**31 + 1},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_largest_packet_allowed(self):
+        assert SimConfig(packet_bits=2**31).packet_bits == 2**31
 
 
 class TestTierCounts:
