@@ -3,10 +3,11 @@
 
 Exports the parent and the change commit with `git archive` into a work
 directory and runs `wsnbench/run.py --workload all --trace 0` in each export,
-in pairs that alternate which side goes first, one benchmark seed per pair.
-Then it runs one traced pass (`--trace 1`) and the Tier-1 suite on each side.
+in PAIRS pairs of SECONDS-second runs that alternate which side goes first,
+one benchmark seed per pair.  Then it runs one traced pass (`--trace 1`) and
+the Tier-1 suite on each side.
 
-    python3 scripts/bench_record.py --out BENCH_9.json --pairs 10 --seeds 101
+    python3 scripts/bench_record.py --out BENCH_9.json --seeds 101
 
 The record holds, for every end-to-end metric of every workload, each side's
 values, median and quartiles and the number of pairs the change won (ties
@@ -14,8 +15,7 @@ count for neither side); one traced per-layer table per side; the Tier-1
 wall time and summary line per side; the commits, their source digests, the
 core count and the load average around the runs.  Both sides run the
 benchmark code of their own commit; a record is meaningful only if the two
-agree.  Expect about (pairs x 2 + 2) benchmark runs of 1.5-2 minutes each
-plus two Tier-1 runs.
+agree.  Expect 22 benchmark runs of 1.5-2 minutes each plus two Tier-1 runs.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+PAIRS = 10  # the fewest that can show a win on 9 of 10 pairs
+SECONDS = 30.0  # each workload's budget, as BENCHMARK.json runs it
 
 
 def git(*args: str) -> str:
@@ -57,11 +59,11 @@ def export(rev: str, dest: Path) -> dict:
     return {"commit": git("rev-parse", rev), "source_sha256": h.hexdigest()}
 
 
-def bench(tree: Path, seed: int, seconds: float, trace: int) -> dict:
+def bench(tree: Path, seed: int, trace: int) -> dict:
     """One `wsnbench/run.py --workload all` run in `tree`; returns its final
     JSON line (correct, attempted, failed, metrics keyed workload.metric)."""
     cmd = [sys.executable, "wsnbench/run.py", "--workload", "all", "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
@@ -115,15 +117,10 @@ def main() -> int:
     parser.add_argument("--out", required=True, help="record to write, e.g. BENCH_9.json")
     parser.add_argument("--parent", default="HEAD^", help="parent revision (default HEAD^)")
     parser.add_argument("--change", default="HEAD", help="change revision (default HEAD)")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=int, default=101,
                         help="benchmark seed of the first pair; pair k uses seeds+k")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--work", help="directory for the exports (default: a new temp dir)")
-    parser.add_argument("--no-tier1", action="store_true", help="skip the Tier-1 runs")
     args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
     work = Path(args.work or tempfile.mkdtemp(prefix="bench_record_"))
     trees = {s: work / s for s in SIDES}
@@ -132,23 +129,23 @@ def main() -> int:
     load_before = os.getloadavg()
 
     runs: dict[str, list[dict]] = {s: [] for s in SIDES}
-    seeds = [args.seeds + k for k in range(args.pairs)]
+    seeds = [args.seeds + k for k in range(PAIRS)]
     for k, seed in enumerate(seeds):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-            result = bench(trees[side], seed, args.seconds, trace=0)
+            result = bench(trees[side], seed, trace=0)
             runs[side].append(result)
-            print(f"pair {k + 1}/{args.pairs} seed {seed} {side}: correct={result['correct']} "
+            print(f"pair {k + 1}/{PAIRS} seed {seed} {side}: correct={result['correct']} "
                   f"replication.wall_s={result['metrics']['replication.wall_s']['value']:.3f}",
                   flush=True)
-    traced = {s: bench(trees[s], seeds[0], args.seconds, trace=1) for s in SIDES}
-    tier1_runs = {} if args.no_tier1 else {s: tier1(trees[s]) for s in SIDES}
+    traced = {s: bench(trees[s], seeds[0], trace=1) for s in SIDES}
+    tier1_runs = {s: tier1(trees[s]) for s in SIDES}
 
     record = {
-        "command": "wsnbench/run.py --workload all --trace 0 --seconds "
-                   f"{args.seconds:g} --seed <seed>",
+        "command": f"wsnbench/run.py --workload all --trace 0 --seconds {SECONDS:g} "
+                   "--seed <seed>",
         "commits": commits,
         "seeds": seeds,
-        "first_side": ["parent" if k % 2 == 0 else "change" for k in range(args.pairs)],
+        "first_side": ["parent" if k % 2 == 0 else "change" for k in range(PAIRS)],
         "host": {
             "nproc": os.cpu_count(),
             "affinity": len(os.sched_getaffinity(0)),

@@ -80,15 +80,14 @@ class EngineState:
     run's running totals.
 
     `alive` holds the ids of the alive nodes in ascending order.  A node may
-    be elected again from round `eligible_from[i]` on.  `rate`, `epoch` and
-    `ramp` hold the election rate, eligibility epoch and threshold ramp of
-    each tier (NodeTier order, see protocols.election_rule); `factor` is
-    each node's dbcp distance factor, 1 under leach and sep; `bs_cost` is
-    each node's transmit cost to the base station; `fuse_cost[k]` is what a
-    head pays to receive k members and fuse k+1 signals; `pairs` holds the
-    PairTables of a network of at most PAIR_TABLE_MAX_NODES nodes, else
-    None.  All but `energy`, `alive`, `eligible_from` and the totals are
-    fixed at initial_state.
+    be elected again from round `eligible_from[i]` on.  `rate` and `epoch`
+    hold the election rate and eligibility epoch of each tier (NodeTier
+    order); `factor` is each node's dbcp distance factor, 1 under leach and
+    sep; `bs_cost` is each node's transmit cost to the base station;
+    `fuse_cost[k]` is what a head pays to receive k members and fuse k+1
+    signals; `pairs` holds the PairTables of a network of at most
+    PAIR_TABLE_MAX_NODES nodes, else None.  All but `energy`, `alive`,
+    `eligible_from` and the totals are fixed at initial_state.
     """
 
     config: SimConfig
@@ -103,7 +102,6 @@ class EngineState:
     fuse_cost: np.ndarray
     rate: tuple[float, ...]
     epoch: np.ndarray
-    ramp: tuple[list[float], ...]
     factor: np.ndarray
     pairs: PairTables | None
     d_avg: float
@@ -255,12 +253,12 @@ def simulate_round(state: EngineState, r: int, rng: random.Random) -> RoundMetri
 
 def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
     """Engine state for a fresh deployment; the distance average, the
-    election rule's rates, epochs, threshold ramps and factors, the
-    base-station transmit costs and, for a small network, the pair tables
+    election rule's rates, epochs and factors, the base-station transmit
+    costs, the heads' fuse costs and, for a small network, the pair tables
     are fixed here and never recomputed."""
     n = len(nodes.x)
     d_avg = _sequential_sum(nodes.d_bs) / n
-    rate, epoch, ramp, factor = election_rule(config, nodes.d_bs, d_avg)
+    rate, epoch, factor = election_rule(config, nodes.d_bs, d_avg)
     bits = config.packet_bits
     k = np.arange(n)  # a head's member count
     return EngineState(
@@ -276,7 +274,6 @@ def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
         fuse_cost=k * rx_energy(config, bits) + aggregation_energy(config, bits, k + 1),
         rate=rate,
         epoch=epoch,
-        ramp=ramp,
         factor=factor,
         pairs=pair_tables(config, nodes.x, nodes.y) if n <= PAIR_TABLE_MAX_NODES else None,
         d_avg=d_avg,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -84,9 +85,12 @@ class SimConfig:
             raise ValueError(f"p_opt must be in (0, 1), got {self.p_opt}")
         if self.packet_bits < 1:
             raise ValueError(f"packet_bits must be >= 1, got {self.packet_bits}")
-        if self.packet_bits > 2**31:
-            # a head's aggregation cost multiplies it by an int64 signal count
-            raise ValueError(f"packet_bits must be <= 2**31, got {self.packet_bits}")
+        if self.packet_bits > sys.float_info.max:
+            # every energy is priced in float
+            raise ValueError(
+                f"packet_bits must be <= {sys.float_info.max:.6g}, "
+                f"got a {len(str(self.packet_bits))}-digit number"
+            )
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.seed < 0 or self.seed > 2**64 - 1:

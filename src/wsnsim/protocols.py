@@ -7,10 +7,9 @@ DBCP:  SEP rates with the near-node distance factor applied on top.
 Thresholds follow the rotating-eligibility scheme: each node may serve once
 per epoch of ceil(1/p) rounds, with the per-round threshold ramping up to 1
 at the end of the epoch so that every eligible node has served exactly once
-by the time the epoch wraps.  election_rule fixes a run's tier rates, epochs,
-threshold ramps and distance factors; elect_heads draws each round's heads
-against them and form_clusters attaches every other alive node to its nearest
-head.
+by the time the epoch wraps.  election_rule fixes a run's tier rates, epochs
+and distance factors; elect_heads draws each round's heads against them and
+form_clusters attaches every other alive node to its nearest head.
 """
 
 from __future__ import annotations
@@ -122,25 +121,18 @@ def threshold(tier_thresholds, tier, factor, eligible) -> np.ndarray:
 
 def election_rule(
     config: SimConfig, d_bs, d_avg: float
-) -> tuple[tuple[float, ...], np.ndarray, tuple[list[float], ...], np.ndarray]:
-    """The election rate, eligibility epoch and threshold ramp of each tier
-    (in NodeTier order) and the distance factor of each node under
-    config.protocol.  A tier's ramp entry k is sep_threshold(rate, k), for k
-    below min(epoch, max_rounds), so round r looks up entry r % epoch.
+) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """The election rate and eligibility epoch of each tier (in NodeTier
+    order) and the distance factor of each node under config.protocol.
     weighted_probabilities runs under every protocol, leach included, so a
     config whose tier rates are not probabilities fails under all three."""
     probs = weighted_probabilities(config)
     rate = (config.p_opt,) * len(NodeTier) if config.protocol is ProtocolKind.LEACH else probs
-    epoch = [epoch_length(p) for p in rate]
-    ramp = tuple(
-        [sep_threshold(p, k) for k in range(min(e, config.max_rounds))]
-        for p, e in zip(rate, epoch)
-    )
     if config.protocol is ProtocolKind.DBCP:
         factor = distance_factor(d_bs, d_avg)
     else:
         factor = np.ones(len(d_bs))
-    return rate, np.array(epoch), ramp, factor
+    return rate, np.array([epoch_length(p) for p in rate]), factor
 
 
 def elect_heads(state, alive: np.ndarray, r: int, rng: random.Random) -> np.ndarray:
@@ -149,16 +141,16 @@ def elect_heads(state, alive: np.ndarray, r: int, rng: random.Random) -> np.ndar
     Elected nodes are marked ineligible for the remainder of their tier
     epoch.  Returns the head ids in ascending order.
 
-    `state` is the run's node table (engine.EngineState): per-tier epoch and
-    threshold ramp, per-node tier, distance factor and first round of renewed
-    eligibility.  `r` is below the run's max_rounds, where the ramps end.
+    `state` is the run's node table (engine.EngineState): per-tier rate and
+    epoch, per-node tier, distance factor and first round of renewed
+    eligibility.
     """
     # every alive node draws, eligible or not (determinism contract); the
     # iterator never ends, and fromiter takes exactly len(alive) draws
     u = np.fromiter(iter(rng.random, None), float, len(alive))
     tier = state.tier[alive]
     t = threshold(
-        [ramp[r % e] for ramp, e in zip(state.ramp, state.epoch.tolist())],
+        [sep_threshold(p, r) for p in state.rate],
         tier,
         state.factor[alive],
         r >= state.eligible_from[alive],

@@ -36,5 +36,9 @@ def rx_energy(config: SimConfig, bits: int) -> float:
 
 
 def aggregation_energy(config: SimConfig, bits: int, signals: int) -> float:
-    """Energy for a head to fuse `signals` inputs of `bits` each into one packet."""
-    return signals * bits * config.e_da
+    """Energy for a head to fuse `signals` inputs of `bits` each into one packet.
+
+    The product is taken in float: an int64 array of signal counts times
+    `bits` would wrap.  For bits up to 2**53 the float product rounds the
+    exact one once, as converting an exact integer product would."""
+    return signals * float(bits) * config.e_da

@@ -151,7 +151,7 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "flags, rule",
         [
-            (["--packet-bits", "9223372036854775808"], "packet_bits must be <= 2**31"),
+            (["--packet-bits", "1" + "0" * 400], "packet_bits must be <= 1.79769e+308"),
             (["--p-opt", "5e-324"], "p_normal=4.94066e-324 has no finite epoch"),
             (
                 ["--p-opt", "1e-300", "--a", "1e300", "--b", "1e300", "--m", "0.6",
@@ -159,7 +159,7 @@ class TestRunCommand:
                 "p_normal=0 has no finite epoch",
             ),
         ],
-        ids=["packet_bits_past_int64", "p_opt_inverse_overflows", "p_normal_underflows"],
+        ids=["packet_bits_past_float", "p_opt_inverse_overflows", "p_normal_underflows"],
     )
     def test_unrunnable_config_exits_2(self, tmp_path, capsys, flags, rule):
         out = tmp_path / "x"

@@ -139,12 +139,14 @@ def test_per_round_path_matches_seed_copy(values):
         engine.PAIR_TABLE_MAX_NODES = saved
 
 
+@pytest.mark.parametrize("bits", [2**59, 2**63, 3**40], ids=["2**59", "2**63", "3**40"])
 @pytest.mark.parametrize("table_max", [engine.PAIR_TABLE_MAX_NODES, 0], ids=["tables", "per_round"])
-def test_largest_packet_matches_seed_copy(table_max, monkeypatch):
-    """The largest packet_bits: a head fusing all 100 signals multiplies it
-    to about 2**38 in int64, far from wrapping."""
+def test_huge_packet_matches_seed_copy(table_max, bits, monkeypatch):
+    """Packets so large that a head fusing 16 or more signals would take the
+    product of signals and bits past int64: the copy multiplies Python ints,
+    the engine floats, with the same energies."""
     monkeypatch.setattr(engine, "PAIR_TABLE_MAX_NODES", table_max)
-    _assert_matches_seed_copy({"packet_bits": 2**31, "e0": 1e30, "max_rounds": 3})
+    _assert_matches_seed_copy({"packet_bits": bits, "e0": 1e30, "max_rounds": 3})
 
 
 # well-typed configs that each break two range rules checked in different

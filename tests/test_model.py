@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -55,7 +56,7 @@ class TestSimConfig:
             {"seed": -1},
             {"seed": 2**64},
             {"field_width": 0.0},
-            {"packet_bits": 2**31 + 1},
+            {"packet_bits": int(sys.float_info.max) + 1},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
@@ -63,7 +64,8 @@ class TestSimConfig:
             SimConfig(**kwargs)
 
     def test_largest_packet_allowed(self):
-        assert SimConfig(packet_bits=2**31).packet_bits == 2**31
+        bits = int(sys.float_info.max)
+        assert SimConfig(packet_bits=bits).packet_bits == bits
 
 
 class TestTierCounts:

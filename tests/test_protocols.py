@@ -109,32 +109,6 @@ class TestEligibilityFor:
         assert dbcp.tolist() == state_for(ProtocolKind.SEP, nodes).epoch.tolist()
 
 
-class TestThresholdRamp:
-    """The per-tier ramps election_rule builds once per run, looked up as
-    ramp[tier][r % epoch], against sep_threshold evaluated in round r."""
-
-    @pytest.mark.parametrize("protocol", list(ProtocolKind), ids=lambda p: p.value)
-    @pytest.mark.parametrize(
-        "p_opt, max_rounds",
-        [(0.1, 10000), (0.3, 10000), (0.01, 10000), (0.01, 40), (0.1, 1)],
-        ids=["p0.1", "p0.3", "p0.01", "p0.01-cap40", "p0.1-cap1"],
-    )
-    def test_lookup_equals_sep_threshold_over_two_epochs(self, protocol, p_opt, max_rounds):
-        state = initial_state(
-            SimConfig(n=40, protocol=protocol, p_opt=p_opt, max_rounds=max_rounds),
-            deployed_network(),
-        )
-        for ramp, p, epoch in zip(state.ramp, state.rate, state.epoch.tolist()):
-            assert len(ramp) == min(epoch, max_rounds)
-            for r in range(min(2 * epoch, max_rounds)):
-                assert ramp[r % epoch] == sep_threshold(p, r), (p, r)
-
-    def test_tiny_rate_builds_no_longer_than_max_rounds(self):
-        state = initial_state(SimConfig(n=40, p_opt=1e-9), deployed_network())
-        assert state.epoch.min() > 10**8
-        assert [len(ramp) for ramp in state.ramp] == [10000] * 3
-
-
 def threshold_of(make_deployment, protocol, tier, d, r=0, **overrides):
     """Round-r threshold of a node d m from the base station, in a network
     whose average distance is 40 m: a partner node sits 80 - d m away."""
