@@ -7,26 +7,24 @@ from .model import (
     NodeTier,
     ProtocolKind,
     SimConfig,
+    TierProbabilities,
     deploy,
     tier_counts,
+    weighted_probabilities,
 )
 from .protocols import (
-    TierProbabilities,
     distance_factor,
     elect_heads,
     form_clusters,
     sep_threshold,
     threshold,
-    weighted_probabilities,
 )
 from .report import aggregate
 
 __all__ = [
-    "TierProbabilities",
     "distance_factor",
     "sep_threshold",
     "threshold",
-    "weighted_probabilities",
     "RoundMetrics",
     "RunResult",
     "SummaryMetrics",
@@ -35,8 +33,10 @@ __all__ = [
     "NodeTier",
     "ProtocolKind",
     "SimConfig",
+    "TierProbabilities",
     "deploy",
     "tier_counts",
+    "weighted_probabilities",
     "elect_heads",
     "form_clusters",
     "aggregate",

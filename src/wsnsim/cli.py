@@ -27,8 +27,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from . import engine, report
-from .model import ProtocolKind, SimConfig, tier_counts
-from .protocols import weighted_probabilities
+from .model import ProtocolKind, SimConfig, tier_counts, weighted_probabilities
 from .radio import crossover_distance
 
 
@@ -152,11 +151,9 @@ def derived_values(config: SimConfig) -> dict:
 def _echo_config(config: SimConfig, out_dir: Path) -> None:
     """Write config.json and derived.json.  Every command calls this after
     all other outputs of the directory are written, so a run that fails
-    part way leaves no config echo behind.  Both are computed before either
-    is written, so a config whose derived values raise leaves neither."""
-    echoes = {"config.json": config_to_dict(config), "derived.json": derived_values(config)}
-    for name, values in echoes.items():
-        (out_dir / name).write_text(json.dumps(values, indent=2) + "\n")
+    part way leaves no config echo behind."""
+    for name, echo in (("config.json", config_to_dict), ("derived.json", derived_values)):
+        (out_dir / name).write_text(json.dumps(echo(config), indent=2) + "\n")
 
 
 def run_batch(configs: list[SimConfig], workers: int | None = None) -> list[engine.RunResult]:
@@ -291,16 +288,16 @@ def _print_mean_table(comparison: dict[ProtocolKind, report.ProtocolAggregate]) 
         print(f"{proto.value:<10}{cells}")
 
 
+def _compare_configs(base: SimConfig, seeds: list[int]) -> list[SimConfig]:
+    """Each protocol over `seeds` on `base`: one paired comparison's configs."""
+    return [replace(base, protocol=proto, seed=seed) for proto in PROTOCOL_ORDER for seed in seeds]
+
+
 def _run_compare_batch(
-    base: SimConfig, seeds: list[int], out_dir: Path, workers: int | None
+    base: SimConfig, configs: list[SimConfig], out_dir: Path, workers: int | None
 ) -> dict[ProtocolKind, report.ProtocolAggregate]:
-    """Paired comparison of all three protocols over `seeds`, writing the full
-    file set into out_dir."""
-    configs = [
-        replace(base, protocol=proto, seed=seed)
-        for proto in PROTOCOL_ORDER
-        for seed in seeds
-    ]
+    """Run the _compare_configs of `base`, writing the full file set into
+    out_dir."""
     results = run_batch(configs, workers)
     for result in results:
         report.write_series(result.series, out_dir / _series_name(result.config))
@@ -335,8 +332,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     base = parse_config(args.config, _collect_overrides(args))
+    configs = _compare_configs(base, args.seeds)  # before the directory: a bad seed leaves none
     out_dir = _prepare_out(args.out)
-    comparison = _run_compare_batch(base, args.seeds, out_dir, args.workers)
+    comparison = _run_compare_batch(base, configs, out_dir, args.workers)
     _print_mean_table(comparison)
     return 0
 
@@ -344,17 +342,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     # the config file is read once; every point and the top-level echo are
     # built from `resolved`.  The swept parameter is merged in before
-    # validation so every point is checked as it will actually run; the base
-    # value it replaces may be out of range against pinned flags (e.g.
-    # --param a --values 0 --b 0)
+    # validation, and every point's configs are built before any directory
+    # is made, so each is checked as it will actually run; the base value it
+    # replaces may be out of range against pinned flags (e.g. --param a
+    # --values 0 --b 0)
     resolved = _resolve(args.config, _collect_overrides(args))
     points = [(value, _build_config({**resolved, args.param: value})) for value in args.values]
+    batches = [_compare_configs(sub_base, args.seeds) for _, sub_base in points]
     out_dir = _prepare_out(args.out)
     entries = []
-    for value, sub_base in points:
+    for (value, sub_base), configs in zip(points, batches):
         sub_dir = out_dir / f"{args.param}_{value:g}"
         sub_dir.mkdir(parents=True, exist_ok=True)
-        comparison = _run_compare_batch(sub_base, args.seeds, sub_dir, args.workers)
+        comparison = _run_compare_batch(sub_base, configs, sub_dir, args.workers)
         entries.append((value, comparison))
         print(f"--- {args.param} = {value:g} ---")
         _print_mean_table(comparison)

@@ -227,9 +227,11 @@ def simulate_round(state: EngineState, r: int, rng: random.Random) -> RoundMetri
     state.energy_dissipated = _sequential_sum(spent, state.energy_dissipated)
     dead = ids[left == 0.0]
     if len(dead):
-        state.alive = np.setdiff1d(alive, dead, assume_unique=True)
-        for t in state.tier[dead].tolist():
-            state.alive_by_tier[t] -= 1
+        # every alive node was charged, and only the dead hold 0 J
+        state.alive = alive[state.energy[alive] > 0.0]
+        state.alive_by_tier = np.bincount(
+            state.tier[state.alive], minlength=len(NodeTier)
+        ).tolist()
 
     packets = len(heads) or len(alive)
     state.packets_cum += packets

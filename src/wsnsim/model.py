@@ -7,6 +7,7 @@ import random
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +96,7 @@ class SimConfig:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.seed < 0 or self.seed > 2**64 - 1:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        weighted_probabilities(self)  # last, so a broken range rule is reported first
         if self.bs_x is None:
             object.__setattr__(self, "bs_x", self.field_width / 2.0)
         if self.bs_y is None:
@@ -123,6 +125,42 @@ def tier_counts(config: SimConfig) -> tuple[int, int, int]:
     n_super = math.floor(config.n * config.m0 + 0.5)
     n_adv_or_better = math.floor(config.n * config.m + 0.5)
     return config.n - n_adv_or_better, n_adv_or_better - n_super, n_super
+
+
+class TierProbabilities(NamedTuple):
+    """Per-round election probabilities by tier, in NodeTier order."""
+
+    p_normal: float
+    p_advanced: float
+    p_super: float
+
+
+def weighted_probabilities(config: SimConfig) -> TierProbabilities:
+    """Split the config's target election rate p_opt into per-tier
+    probabilities.
+
+    Probabilities are weighted by each tier's extra energy so that the
+    population-average probability stays exactly p_opt:
+
+        (1-m)*p_n + (m-m0)*p_a + m0*p_s == p_opt
+
+    Every tier needs a rate below 1 and an epoch ceil(1/p) that is finite.
+    """
+    a, b = config.a, config.b
+    p_n = config.p_opt / (1.0 + a * (config.m - config.m0) + b * config.m0)
+    probs = TierProbabilities(p_n, p_n * (1.0 + a), p_n * (1.0 + b))
+    for name, p in probs._asdict().items():
+        if p >= 1.0:
+            raise ValueError(
+                f"{name}={p:.6g} is not a probability; "
+                f"p_opt={config.p_opt} with multipliers a={a}, b={b} is too large"
+            )
+        if not p > 0.0 or math.isinf(1.0 / p):
+            raise ValueError(
+                f"{name}={p:.6g} has no finite epoch; "
+                f"p_opt={config.p_opt} with multipliers a={a}, b={b} is too small"
+            )
+    return probs
 
 
 def deploy(config: SimConfig, rng: random.Random) -> Deployment:

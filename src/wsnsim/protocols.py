@@ -1,7 +1,7 @@
 """How leach, sep and dbcp elect cluster heads and form clusters.
 
 LEACH: every node runs the rotating threshold at the uniform rate p_opt.
-SEP:   per-tier rates from weighted_probabilities, same rotation mechanics.
+SEP:   per-tier rates from model.weighted_probabilities, same rotation mechanics.
 DBCP:  SEP rates with the near-node distance factor applied on top.
 
 Thresholds follow the rotating-eligibility scheme: each node may serve once
@@ -16,16 +16,13 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple
 
 import numpy as np
 
-from .model import NodeTier, ProtocolKind, SimConfig
+from .model import NodeTier, ProtocolKind, SimConfig, weighted_probabilities
 
 __all__ = [
     "ProtocolKind",
-    "TierProbabilities",
-    "weighted_probabilities",
     "epoch_length",
     "sep_threshold",
     "distance_factor",
@@ -35,42 +32,6 @@ __all__ = [
     "elect_heads",
     "form_clusters",
 ]
-
-
-class TierProbabilities(NamedTuple):
-    """Per-round election probabilities by tier, in NodeTier order."""
-
-    p_normal: float
-    p_advanced: float
-    p_super: float
-
-
-def weighted_probabilities(config: SimConfig) -> TierProbabilities:
-    """Split the config's target election rate p_opt into per-tier
-    probabilities.
-
-    Probabilities are weighted by each tier's extra energy so that the
-    population-average probability stays exactly p_opt:
-
-        (1-m)*p_n + (m-m0)*p_a + m0*p_s == p_opt
-
-    Every tier needs a rate below 1 and an epoch ceil(1/p) that is finite.
-    """
-    a, b = config.a, config.b
-    p_n = config.p_opt / (1.0 + a * (config.m - config.m0) + b * config.m0)
-    probs = TierProbabilities(p_n, p_n * (1.0 + a), p_n * (1.0 + b))
-    for name, p in probs._asdict().items():
-        if p >= 1.0:
-            raise ValueError(
-                f"{name}={p:.6g} is not a probability; "
-                f"p_opt={config.p_opt} with multipliers a={a}, b={b} is too large"
-            )
-        if not p > 0.0 or math.isinf(1.0 / p):
-            raise ValueError(
-                f"{name}={p:.6g} has no finite epoch; "
-                f"p_opt={config.p_opt} with multipliers a={a}, b={b} is too small"
-            )
-    return probs
 
 
 def _inverse_rate(p: float) -> float:
@@ -123,11 +84,11 @@ def election_rule(
     config: SimConfig, d_bs, d_avg: float
 ) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
     """The election rate and eligibility epoch of each tier (in NodeTier
-    order) and the distance factor of each node under config.protocol.
-    weighted_probabilities runs under every protocol, leach included, so a
-    config whose tier rates are not probabilities fails under all three."""
-    probs = weighted_probabilities(config)
-    rate = (config.p_opt,) * len(NodeTier) if config.protocol is ProtocolKind.LEACH else probs
+    order) and the distance factor of each node under config.protocol."""
+    if config.protocol is ProtocolKind.LEACH:
+        rate = (config.p_opt,) * len(NodeTier)
+    else:
+        rate = weighted_probabilities(config)
     if config.protocol is ProtocolKind.DBCP:
         factor = distance_factor(d_bs, d_avg)
     else:

@@ -23,14 +23,8 @@ import pytest
 
 from wsnsim import cli, engine, report
 from wsnsim.engine import initial_state, simulate_round
-from wsnsim.model import NodeTier, ProtocolKind, SimConfig, deploy
-from wsnsim.protocols import (
-    distance_factor,
-    elect_heads,
-    sep_threshold,
-    threshold,
-    weighted_probabilities,
-)
+from wsnsim.model import NodeTier, ProtocolKind, SimConfig, deploy, weighted_probabilities
+from wsnsim.protocols import distance_factor, elect_heads, sep_threshold, threshold
 from wsnsim.radio import crossover_distance, rx_energy, tx_energy
 
 PROTOCOLS = (ProtocolKind.LEACH, ProtocolKind.SEP, ProtocolKind.DBCP)

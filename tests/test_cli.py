@@ -167,7 +167,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and rule in err and "Traceback" not in err
-        assert not out.exists() or not list(out.iterdir())  # no file written
+        assert not out.exists()  # no file or directory written
 
     def test_non_finite_flag_rejected(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -336,8 +336,9 @@ class TestSweepCommand:
             assert json.loads((out / point / "config.json").read_text()) == {**echoed, "m": m}
 
     def test_base_with_invalid_tier_rates_writes_no_echo(self, tmp_path):
-        """The base here is a valid SimConfig whose super-tier rate reaches 1;
-        it never runs, so the top level gets neither config nor derived echo."""
+        """The base here has a super-tier rate that reaches 1, so SimConfig
+        rejects it; it never runs, so the top level gets neither config nor
+        derived echo."""
         out = tmp_path / "swp"
         code = main(
             ["sweep", "--param", "b", "--values", "0", "--a", "0", "--m0", "0.05",
@@ -348,6 +349,20 @@ class TestSweepCommand:
         assert (out / "b_0" / "derived.json").exists()
         assert not (out / "config.json").exists()
         assert not (out / "derived.json").exists()
+
+    def test_unrunnable_later_point_writes_nothing(self, tmp_path, capsys):
+        """b=20 pushes the super-tier rate past 1; the sweep fails before
+        running b=2 or making any directory."""
+        out = tmp_path / "swp"
+        code = main(
+            ["sweep", "--param", "b", "--values", "2,20", "--a", "2", "--p-opt", "0.2",
+             "--n", "12", "--seeds", "1..1", "--max-rounds", "5", "--workers", "1",
+             "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: p_super=") and "is not a probability" in err
+        assert not out.exists()
 
     def test_out_of_range_value_rejected(self, tmp_path):
         code = main(
@@ -366,6 +381,22 @@ class TestSweepCommand:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["compare"], ["sweep", "--param", "m", "--values", "0.1,0.2"]],
+    ids=["compare", "sweep"],
+)
+def test_out_of_range_seed_writes_nothing(tmp_path, capsys, command):
+    out = tmp_path / "x"
+    code = main(
+        [*command, "--seeds=-1..0", "--n", "10", "--max-rounds", "3", "--workers", "1",
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert "seed must fit in 64 unsigned bits, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestArgumentParsing:

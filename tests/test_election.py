@@ -11,15 +11,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from wsnsim.engine import initial_state
-from wsnsim.model import NodeTier, ProtocolKind, SimConfig
-from wsnsim.protocols import (
-    distance_factor,
-    elect_heads,
-    epoch_length,
-    sep_threshold,
-    threshold,
-    weighted_probabilities,
-)
+from wsnsim.model import NodeTier, ProtocolKind, SimConfig, weighted_probabilities
+from wsnsim.protocols import distance_factor, elect_heads, epoch_length, sep_threshold, threshold
 
 
 def dbcp_threshold(p, r, eligible, d_i, d_avg):
@@ -28,8 +21,18 @@ def dbcp_threshold(p, r, eligible, d_i, d_avg):
     return threshold([sep_threshold(p, r)], 0, distance_factor(d_i, d_avg), eligible)
 
 
+def _config_or_none(**fields):
+    """The SimConfig of `fields`, or None if SimConfig rejects them."""
+    try:
+        return SimConfig(**fields)
+    except ValueError:
+        return None
+
+
 valid_config = st.builds(
-    lambda p_opt, m, frac, a, extra: SimConfig(p_opt=p_opt, m=m, m0=m * frac, a=a, b=a + extra),
+    lambda p_opt, m, frac, a, extra: _config_or_none(
+        p_opt=p_opt, m=m, m0=m * frac, a=a, b=a + extra
+    ),
     p_opt=st.floats(min_value=0.01, max_value=0.3),
     m=st.floats(min_value=0.0, max_value=1.0),
     frac=st.floats(min_value=0.0, max_value=1.0),
@@ -66,23 +69,21 @@ class TestWeightedProbabilities:
             weighted_probabilities(SimConfig(p_opt=0.3, m=0.2, m0=0.1, a=0.0, b=9.0))
 
     @pytest.mark.parametrize(
-        "config, rate",
+        "fields, rate",
         [
-            (SimConfig(p_opt=5e-324), "p_normal=4.94066e-324"),  # 1/p overflows
-            (SimConfig(p_opt=1e-300, a=1e300, b=1e300, m=0.6, m0=0.5), "p_normal=0"),
+            (dict(p_opt=5e-324), "p_normal=4.94066e-324"),  # 1/p overflows
+            (dict(p_opt=1e-300, a=1e300, b=1e300, m=0.6, m0=0.5), "p_normal=0"),
         ],
         ids=["inverse_overflows", "rate_underflows"],
     )
-    def test_rate_without_finite_epoch_rejected(self, config, rate):
+    def test_rate_without_finite_epoch_rejected(self, fields, rate):
         with pytest.raises(ValueError, match=f"{rate} has no finite epoch"):
-            weighted_probabilities(config)
+            weighted_probabilities(SimConfig(**fields))
 
     @given(h=valid_config)
     def test_population_average_preserved(self, h):
-        try:
-            probs = weighted_probabilities(h)
-        except ValueError:
-            assume(False)
+        assume(h is not None)
+        probs = weighted_probabilities(h)
         mixture = (
             (1.0 - h.m) * probs.p_normal
             + (h.m - h.m0) * probs.p_advanced

@@ -67,6 +67,23 @@ class TestSimConfig:
         bits = int(sys.float_info.max)
         assert SimConfig(packet_bits=bits).packet_bits == bits
 
+    @pytest.mark.parametrize(
+        "p_opt, message",
+        [
+            (0.5, "p_advanced=1 is not a probability; "
+                  "p_opt=0.5 with multipliers a=2.0, b=3.0 is too large"),
+            (5e-324, "p_normal=4.94066e-324 has no finite epoch; "
+                     "p_opt=5e-324 with multipliers a=2.0, b=3.0 is too small"),
+        ],
+        ids=["rate_reaches_one", "no_finite_epoch"],
+    )
+    def test_unrunnable_tier_rates_rejected(self, p_opt, message):
+        """A config that constructs can run: the tier-rate split is checked
+        when the config is built, not when a run starts."""
+        with pytest.raises(ValueError) as info:
+            SimConfig(p_opt=p_opt)
+        assert str(info.value) == message
+
 
 class TestTierCounts:
     def test_default_split(self):

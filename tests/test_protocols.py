@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wsnsim import protocols
 from wsnsim.engine import initial_state
-from wsnsim.model import NodeTier, ProtocolKind, SimConfig, deploy
+from wsnsim.model import NodeTier, ProtocolKind, SimConfig, deploy, weighted_probabilities
 from wsnsim.protocols import (
     _nearest_dense,
     _nearest_grid,
@@ -23,7 +23,6 @@ from wsnsim.protocols import (
     form_clusters,
     sep_threshold,
     threshold,
-    weighted_probabilities,
 )
 
 P_OPT = 0.1
