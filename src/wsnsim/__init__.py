@@ -2,42 +2,16 @@
 heterogeneous wireless sensor networks."""
 
 from .engine import RoundMetrics, RunResult, SummaryMetrics, run
-from .model import (
-    Deployment,
-    NodeTier,
-    ProtocolKind,
-    SimConfig,
-    TierProbabilities,
-    deploy,
-    tier_counts,
-    weighted_probabilities,
-)
-from .protocols import (
-    distance_factor,
-    elect_heads,
-    form_clusters,
-    sep_threshold,
-    threshold,
-)
+from .model import NodeTier, ProtocolKind, SimConfig
 from .report import aggregate
 
 __all__ = [
-    "distance_factor",
-    "sep_threshold",
-    "threshold",
-    "RoundMetrics",
-    "RunResult",
-    "SummaryMetrics",
-    "run",
-    "Deployment",
     "NodeTier",
     "ProtocolKind",
+    "RoundMetrics",
+    "RunResult",
     "SimConfig",
-    "TierProbabilities",
-    "deploy",
-    "tier_counts",
-    "weighted_probabilities",
-    "elect_heads",
-    "form_clusters",
+    "SummaryMetrics",
     "aggregate",
+    "run",
 ]

@@ -161,8 +161,6 @@ def run_batch(configs: list[SimConfig], workers: int | None = None) -> list[engi
     input order; each run owns its rng, so scheduling cannot change outputs."""
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, len(configs))
     if workers <= 1:
         return [engine.run(c) for c in configs]

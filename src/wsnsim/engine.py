@@ -10,7 +10,6 @@ rounds, where every alive node sends directly to the base station.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 from dataclasses import dataclass
@@ -21,8 +20,6 @@ import numpy as np
 from .model import Deployment, NodeTier, SimConfig, deploy
 from .protocols import elect_heads, election_rule, form_clusters, squared_distances
 from .radio import aggregation_energy, rx_energy, tx_energy
-
-logger = logging.getLogger(__name__)
 
 # Largest network for which initial_state builds the PairTables.  On one core
 # of a 2-vCPU Xeon VM, over the first 400 rounds of default-config runs (100
@@ -161,9 +158,7 @@ def pair_tables(config: SimConfig, x: np.ndarray, y: np.ndarray) -> PairTables:
     i, j = np.triu_indices(len(x), 1)
     link = np.zeros((len(x), len(x)))
     link[i, j] = link[j, i] = member_links(x[i] - x[j], y[i] - y[j])
-    return PairTables(
-        squared_distances(x, y, x, y), link, tx_energy(config, config.packet_bits, link)
-    )
+    return PairTables(squared_distances(x, y, x, y), link, tx_energy(config, link))
 
 
 def transmission_costs(
@@ -191,7 +186,7 @@ def transmission_costs(
         links = member_links(
             state.x[members] - state.x[head_ids], state.y[members] - state.y[head_ids]
         )
-        member_costs = tx_energy(state.config, state.config.packet_bits, links)
+        member_costs = tx_energy(state.config, links)
     else:
         at = members * len(state.x) + head_ids
         links, member_costs = state.pairs.link.take(at), state.pairs.tx.take(at)
@@ -261,7 +256,6 @@ def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
     n = len(nodes.x)
     d_avg = _sequential_sum(nodes.d_bs) / n
     rate, epoch, factor = election_rule(config, nodes.d_bs, d_avg)
-    bits = config.packet_bits
     k = np.arange(n)  # a head's member count
     return EngineState(
         config=config,
@@ -272,8 +266,8 @@ def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
         energy=nodes.energy.copy(),
         alive=np.arange(n),
         eligible_from=np.zeros(n, dtype=np.int64),
-        bs_cost=tx_energy(config, bits, nodes.d_bs),
-        fuse_cost=k * rx_energy(config, bits) + aggregation_energy(config, bits, k + 1),
+        bs_cost=tx_energy(config, nodes.d_bs),
+        fuse_cost=k * rx_energy(config) + aggregation_energy(config, k + 1),
         rate=rate,
         epoch=epoch,
         factor=factor,
@@ -312,14 +306,6 @@ def run(config: SimConfig) -> RunResult:
         state.head_distance_sum / state.head_count_total
         if state.head_count_total
         else math.nan
-    )
-    logger.debug(
-        "%s seed=%d: mean member->head %.2f m + mean head->BS %.2f m vs deployment mean %.2f m",
-        config.protocol.value,
-        config.seed,
-        mean_member,
-        mean_head,
-        state.d_avg,
     )
     return RunResult(
         config=config,

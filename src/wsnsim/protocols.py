@@ -21,18 +21,6 @@ import numpy as np
 
 from .model import NodeTier, ProtocolKind, SimConfig, weighted_probabilities
 
-__all__ = [
-    "ProtocolKind",
-    "epoch_length",
-    "sep_threshold",
-    "distance_factor",
-    "threshold",
-    "squared_distances",
-    "election_rule",
-    "elect_heads",
-    "form_clusters",
-]
-
 
 def _inverse_rate(p: float) -> float:
     # 1/p, snapped to the nearest integer when the quotient is integral up to

@@ -134,27 +134,6 @@ def write_series(series: Sequence[RoundMetrics], path) -> None:
     _write_rows(path, SERIES_COLUMNS, series)
 
 
-def read_series(path) -> list[RoundMetrics]:
-    """Inverse of write_series; values round-trip exactly.  Rows are read by
-    position, so a file whose header is not SERIES_COLUMNS is rejected, and so
-    is a row with the wrong number of fields or a value that does not parse."""
-    with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header != SERIES_COLUMNS:
-            raise ValueError(f"{path}: series header {header} is not {SERIES_COLUMNS}")
-        series = []
-        for row in rows:
-            try:
-                if len(row) != len(SERIES_COLUMNS):
-                    raise ValueError(f"{len(row)} fields, not {len(SERIES_COLUMNS)}")
-                # every field but the last (residual_energy_j) is an int
-                series.append(RoundMetrics(*map(int, row[:-1]), float(row[-1])))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {rows.line_num}: bad series row: {exc}") from None
-        return series
-
-
 def write_summary(results: Sequence[RunResult], path) -> None:
     """One row per run; absent lifecycle events serialize as empty cells."""
     _write_rows(

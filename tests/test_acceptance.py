@@ -43,8 +43,8 @@ def record(number: int, name: str, ok: bool, detail: str) -> bool:
 def test_criterion_1_radio_model_exactness():
     radio = SimConfig()
     t0 = time.perf_counter()
-    tx = tx_energy(radio, 4000, 50.0)
-    rx = rx_energy(radio, 4000)
+    tx = tx_energy(radio, 50.0)
+    rx = rx_energy(radio)
     d0 = crossover_distance(radio)
     d2 = d0 * d0
     free_space = 4000 * radio.e_elec + 4000 * (radio.eps_fs * d2)

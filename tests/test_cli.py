@@ -182,6 +182,15 @@ class TestRunCommand:
         assert "dbcp seed=1" in captured
         assert "packets=" in captured
 
+    def test_prints_distances_line(self, tmp_path, capsys):
+        main(["run", "--out", str(tmp_path / "out"), "--n", "10", "--max-rounds", "20"])
+        result = engine.run(parse_config(None, {"n": 10, "max_rounds": 20}))
+        assert capsys.readouterr().out.splitlines()[1] == (
+            f"distances: mean member->head {result.mean_member_to_head_m:.2f} m, "
+            f"mean head->bs {result.mean_head_to_bs_m:.2f} m, "
+            f"deployment mean {result.d_avg:.2f} m"
+        )
+
 
 class TestCompareCommand:
     def test_single_seed_file_counts(self, tmp_path):
@@ -428,10 +437,6 @@ class TestArgumentParsing:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_run_batch_rejects_workers_below_one(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            run_batch([SimConfig(max_rounds=1)], workers=0)
 
 
 def _exit_abruptly(config):

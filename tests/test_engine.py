@@ -70,14 +70,14 @@ class TestTransmissionCosts:
         assert ledger.ids.tolist() == [0, 1, 2]
         assert len(ledger.links) == 0
         for i, cost in costs_by_id(ledger).items():
-            assert cost == tx_energy(radio, 4000, nodes.d_bs[i])
+            assert cost == tx_energy(radio, nodes.d_bs[i])
 
     def test_head_with_no_members_still_reports(self, make_deployment):
         nodes = make_deployment([(50.0, 60.0)])
         radio = SimConfig()
         ledger = ledger_for(nodes, [0], [], [])
         # aggregation still covers the head's own signal
-        expected = aggregation_energy(radio, 4000, 1) + tx_energy(radio, 4000, 10.0)
+        expected = aggregation_energy(radio, 1) + tx_energy(radio, 10.0)
         assert costs_by_id(ledger)[0] == pytest.approx(expected, rel=1e-12)
 
     @given(
@@ -94,15 +94,15 @@ class TestTransmissionCosts:
         """Cost composition: a member pays exactly tx_energy over its link, and
         a head pays rx per member plus aggregation plus tx_energy to the base
         station, summed in that order, float for float."""
-        radio = SimConfig()
+        radio = SimConfig(packet_bits=bits)
         nodes = make_deployment([(hx, hy), (mx, my)])
         costs = costs_by_id(ledger_for(nodes, [0], [1], [0], bits))
         d = math.hypot(mx - hx, my - hy)
-        assert costs[1] == tx_energy(radio, bits, d)
+        assert costs[1] == tx_energy(radio, d)
         assert costs[0] == (
-            1 * rx_energy(radio, bits)
-            + aggregation_energy(radio, bits, 2)
-            + tx_energy(radio, bits, nodes.d_bs[0])
+            1 * rx_energy(radio)
+            + aggregation_energy(radio, 2)
+            + tx_energy(radio, nodes.d_bs[0])
         )
 
     @given(d_bs=st.floats(min_value=0.0, max_value=200.0))
@@ -113,7 +113,7 @@ class TestTransmissionCosts:
         radio = SimConfig()
         nodes = make_deployment([(50.0 + d_bs, 50.0)])
         ledger = ledger_for(nodes, [], [0], None)
-        assert ledger.costs.tolist() == [tx_energy(radio, 4000, nodes.d_bs[0])]
+        assert ledger.costs.tolist() == [tx_energy(radio, nodes.d_bs[0])]
 
 
 class TestPairTables:
@@ -137,7 +137,7 @@ class TestPairTables:
             for j in range(30):
                 link = math.hypot(x[i] - x[j], y[i] - y[j])
                 assert pairs.link[i, j] == link
-                assert pairs.tx[i, j] == tx_energy(config, 1000, link)
+                assert pairs.tx[i, j] == tx_energy(config, link)
         assert pairs.d2.tolist() == squared_distances(nodes.x, nodes.y, nodes.x, nodes.y).tolist()
 
     @pytest.mark.parametrize("seed", range(4))
@@ -193,7 +193,7 @@ class TestSimulateRound:
         metrics = simulate_round(state, 0, random.Random(0))
         assert metrics.head_count == 0
         assert metrics.packets_to_bs_round == 4
-        expected_cost = sum(tx_energy(config, 4000, d) for d in nodes.d_bs.tolist())
+        expected_cost = sum(tx_energy(config, d) for d in nodes.d_bs.tolist())
         assert before - metrics.residual_energy_j == pytest.approx(expected_cost, abs=1e-12)
 
     def test_insufficient_energy_clamps_and_kills(self, make_deployment):
@@ -210,11 +210,11 @@ class TestSimulateRound:
         assert metrics.packets_to_bs_round == 1  # the head still delivered
         # the ledger charges the poor node only what it actually had
         head_cost = (
-            2 * rx_energy(config, 4000)
-            + aggregation_energy(config, 4000, 3)
-            + tx_energy(config, 4000, nodes.d_bs[0])
+            2 * rx_energy(config)
+            + aggregation_energy(config, 3)
+            + tx_energy(config, nodes.d_bs[0])
         )
-        rich_cost = tx_energy(config, 4000, 10.0)
+        rich_cost = tx_energy(config, 10.0)
         assert state.energy_dissipated == pytest.approx(
             head_cost + rich_cost + 1e-9, abs=1e-15
         )

@@ -14,7 +14,6 @@ from wsnsim.report import (
     SUMMARY_COLUMNS,
     SWEEP_COLUMNS,
     aggregate,
-    read_series,
     write_comparison,
     write_mean_curves,
     write_series,
@@ -81,7 +80,10 @@ class TestSeriesSerialization:
         ]
         path = tmp_path / "series.csv"
         write_series(series, path)
-        assert read_series(path) == series
+        with open(path, newline="") as fh:
+            _, *rows = csv.reader(fh)
+        # every field but the last (residual_energy_j) is an int
+        assert [RoundMetrics(*map(int, row[:-1]), float(row[-1])) for row in rows] == series
 
     def test_empty_series_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -101,33 +103,6 @@ class TestSeriesSerialization:
         write_series(series, a)
         write_series(series, b)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_read_rejects_reordered_header(self, tmp_path):
-        # rows are read by position, so a permuted header must not load
-        path = tmp_path / "swapped.csv"
-        write_series([metrics_row(1, alive=4)], path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        swapped = [[row[1], row[0], *row[2:]] for row in rows]
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(swapped)
-        with pytest.raises(ValueError, match="swapped.csv"):
-            read_series(path)
-
-    @pytest.mark.parametrize(
-        "spoil",
-        [lambda row: row[:-1], lambda row: [*row, "0"], lambda row: [row[0], "four", *row[2:]]],
-        ids=["truncated", "extra_field", "non_numeric"],
-    )
-    def test_read_rejects_malformed_row(self, tmp_path, spoil):
-        path = tmp_path / "spoiled.csv"
-        write_series([metrics_row(1), metrics_row(2)], path)
-        with open(path, newline="") as fh:
-            header, first, second = csv.reader(fh)
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows([header, first, spoil(second)])
-        with pytest.raises(ValueError, match=r"spoiled\.csv, line 3"):
-            read_series(path)
 
     def test_write_error_names_path(self, tmp_path):
         target = tmp_path / "missing_dir" / "series.csv"
