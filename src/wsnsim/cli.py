@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--values", type=_parse_values, required=True,
                        help="comma separated parameter values")
     p_swp.add_argument("--seeds", type=_parse_seed_range, default=list(range(1, 11)))
-    p_swp.add_argument("--workers", type=_parse_workers, default=None)
+    p_swp.add_argument("--workers", type=_parse_workers, default=None,
+                       help="parallel worker processes (default: cpu count)")
     return parser
 
 

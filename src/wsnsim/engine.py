@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Deployment, NodeTier, SimConfig, deploy
+from .model import Deployment, NodeTier, SimConfig, deploy, link_lengths
 from .protocols import elect_heads, election_rule, form_clusters, squared_distances
 from .radio import aggregation_energy, rx_energy, tx_energy
 
@@ -63,7 +63,7 @@ class SummaryMetrics(NamedTuple):
 class PairTables(NamedTuple):
     """Node x node tables of a run's fixed geometry, entry [i, j] for the
     pair (i, j): the squared distance form_clusters compares, the link
-    length member_links measures, and tx_energy over that link for the
+    length link_lengths measures, and tx_energy over that link for the
     run's packet_bits."""
 
     d2: np.ndarray
@@ -146,18 +146,12 @@ def _sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
     return float(np.add.accumulate(values)[-1])
 
 
-def member_links(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Link lengths for 1-D arrays of coordinate differences, by math.hypot,
-    which np.hypot does not match in the last bit."""
-    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
-
-
 def pair_tables(config: SimConfig, x: np.ndarray, y: np.ndarray) -> PairTables:
     """The PairTables of nodes at (x, y).  math.hypot ignores the signs of
     its arguments, so each link is measured once and mirrored."""
     i, j = np.triu_indices(len(x), 1)
     link = np.zeros((len(x), len(x)))
-    link[i, j] = link[j, i] = member_links(x[i] - x[j], y[i] - y[j])
+    link[i, j] = link[j, i] = link_lengths(x[i] - x[j], y[i] - y[j])
     return PairTables(squared_distances(x, y, x, y), link, tx_energy(config, link))
 
 
@@ -183,7 +177,7 @@ def transmission_costs(
     members, head_of = members[order], head_of[order]
     head_ids = heads[head_of]
     if state.pairs is None:
-        links = member_links(
+        links = link_lengths(
             state.x[members] - state.x[head_ids], state.y[members] - state.y[head_ids]
         )
         member_costs = tx_energy(state.config, links)

@@ -163,26 +163,32 @@ def weighted_probabilities(config: SimConfig) -> TierProbabilities:
     return probs
 
 
+def link_lengths(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Link lengths for 1-D arrays of coordinate differences, by math.hypot,
+    which np.hypot does not match in the last bit."""
+    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
+
+
 def deploy(config: SimConfig, rng: random.Random) -> Deployment:
     """Place nodes uniformly over the field and assign tiers by node id.
 
     Ids 0 .. n_super-1 are super, the next n_advanced ids advanced, the rest
-    normal.  Positions consume exactly two draws per node in id order, so the
-    deployment is a pure function of (config, rng state).
+    normal.  Positions consume exactly two draws per node in id order, x
+    then y, so the deployment is a pure function of (config, rng state).
     """
     n_normal, n_advanced, n_super = tier_counts(config)
     tier = np.repeat([2, 1, 0], [n_super, n_advanced, n_normal])  # super, advanced, normal
     e0 = config.e0
     tier_energy = np.array([e0, e0 * (1.0 + config.a), e0 * (1.0 + config.b)])
-    x, y = [], []
-    for _ in range(config.n):
-        x.append(rng.uniform(0.0, config.field_width))
-        y.append(rng.uniform(0.0, config.field_height))
+    u = np.fromiter(iter(rng.random, None), float, 2 * config.n)
+    # rng.uniform(0.0, b) returns 0.0 + (b - 0.0) * rng.random(), which is
+    # b * u exactly for u >= 0
+    x = config.field_width * u[0::2]
+    y = config.field_height * u[1::2]
     return Deployment(
-        x=np.array(x),
-        y=np.array(y),
-        # math.hypot, not np.hypot: the two differ in the last bit
-        d_bs=np.array([math.hypot(a - config.bs_x, b - config.bs_y) for a, b in zip(x, y)]),
+        x=x,
+        y=y,
+        d_bs=link_lengths(x - config.bs_x, y - config.bs_y),
         tier=tier,
         energy=tier_energy[tier],
     )

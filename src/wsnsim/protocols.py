@@ -114,11 +114,22 @@ def elect_heads(state, alive: np.ndarray, r: int, rng: random.Random) -> np.ndar
 
 # Member x head pair count from which form_clusters searches a cell grid
 # instead of the full distance matrix.  On one core of a 2-vCPU Xeon VM, with
-# nine members per head, the dense kernel took 0.16-0.21 ms at 4.4e4 pairs
-# against 0.32-0.47 ms for the grid, and 0.43-0.60 ms at 5.8e4 against
-# 0.36-0.53 ms.  The default n=100 round has about 900 pairs and stays dense;
-# n=1000 has about 9e4 and n=10000 about 9e6.
+# nine members per head (median of 400 alternating calls, two runs), the
+# dense kernel took 0.20-0.29 ms at 2.3e4 pairs against 0.32-0.51 ms for the
+# grid, 0.41-0.54 ms at 4.4e4 against 0.41-0.62 ms, 0.60 ms at 5.8e4 against
+# 0.61-0.64 ms, and 0.74-0.76 ms at 7.3e4 against 0.62-0.67 ms.  The default
+# n=100 round has about 900 pairs and stays dense; n=1000 has about 9e4 and
+# n=10000 about 9e6.
 GRID_MIN_PAIRS = 50_000
+
+# Members _nearest_grid scores at a time.  On the same VM, on one n=10000
+# dbcp round (9289 members, 711 heads) in a fresh process, blocks of 256,
+# 512, 1024 and 2048 members took at best 4.5, 3.8, 3.7 and 4.5 ms a call
+# and 0, 50, 240 and 720 minor page faults, where one flat pass over all
+# members took 6.6 ms and 2085 faults.  Timed in turn with a fixed
+# allocation-free loop, 1024 to 4096 ran alike, 512 took 15% longer and 256
+# 40%.  A round of at most one block (n=1000) is scored in one pass.
+GRID_BLOCK_MEMBERS = 1024
 
 
 def squared_distances(ax, ay, bx, by) -> np.ndarray:
@@ -148,8 +159,12 @@ def _nearest_grid(mx, my, hx, hy) -> np.ndarray:
     each side of the block (infinite where no head lies beyond).  Cell
     indices rise with the coordinate, so that gap is exact in floating point
     and needs no margin.  Every other member is re-scored by _nearest_dense.
+
+    The heads are bucketed, and each cell's candidates listed, once per
+    call; the members are then scored GRID_BLOCK_MEMBERS at a time, so no
+    temporary grows with the member count.
     """
-    n_members, n_heads = len(mx), len(hx)
+    n_heads = len(hx)
     x0, y0 = hx.min(), hy.min()
     w, h = hx.max() - x0, hy.max() - y0
     cells = max(1.0, n_heads / 2)
@@ -159,35 +174,6 @@ def _nearest_grid(mx, my, hx, hy) -> np.ndarray:
 
     def cell_of(v, v0, count):
         return np.clip(np.floor((v - v0) / side), 0, count - 1).astype(np.intp)
-
-    hcol, hrow, mcol, mrow = (
-        cell_of(hx, x0, nx), cell_of(hy, y0, ny), cell_of(mx, x0, nx), cell_of(my, y0, ny)
-    )
-    head_cell = hrow * nx + hcol
-    by_cell = np.argsort(head_cell, kind="stable")  # ascending index within a cell
-    start = np.zeros(nx * ny + 1, dtype=np.intp)
-    np.cumsum(np.bincount(head_cell, minlength=nx * ny), out=start[1:])
-
-    # one contiguous run of by_cell per block row: columns mcol-1..mcol+1
-    rows = mrow[:, None] + np.arange(-1, 2)
-    in_grid = (rows >= 0) & (rows < ny)
-    first_cell = np.clip(rows, 0, ny - 1) * nx
-    lo = start[first_cell + np.maximum(mcol - 1, 0)[:, None]]
-    hi = start[first_cell + np.minimum(mcol + 1, nx - 1)[:, None] + 1]
-    runs = np.where(in_grid, hi - lo, 0).ravel()
-    run_start = np.cumsum(runs) - runs
-    cand = by_cell[np.arange(run_start[-1] + runs[-1]) + np.repeat(lo.ravel() - run_start, runs)]
-    per_member = runs.reshape(n_members, 3).sum(axis=1)
-    d2 = (np.repeat(mx, per_member) - hx[cand]) ** 2
-    d2 += (np.repeat(my, per_member) - hy[cand]) ** 2
-
-    scored = per_member > 0
-    seg = (np.cumsum(per_member) - per_member)[scored]
-    best = np.full(n_members, np.inf)
-    best[scored] = np.minimum.reduceat(d2, seg)
-    tied = np.where(d2 == np.repeat(best, per_member), cand, n_heads)
-    nearest = np.zeros(n_members, dtype=np.intp)
-    nearest[scored] = np.minimum.reduceat(tied, seg)
 
     def beyond(hv, hcell, count):
         """below[k]: largest coordinate of a head in cells <= k-2; above[k]:
@@ -201,15 +187,67 @@ def _nearest_grid(mx, my, hx, hy) -> np.ndarray:
         above = np.concatenate((np.minimum.accumulate(low[::-1])[::-1], [np.inf, np.inf]))
         return below, above
 
+    hcol, hrow = cell_of(hx, x0, nx), cell_of(hy, y0, ny)
+    head_cell = hrow * nx + hcol
+    by_cell = np.argsort(head_cell, kind="stable")  # ascending index within a cell
+    start = np.zeros(nx * ny + 1, dtype=np.intp)
+    np.cumsum(np.bincount(head_cell, minlength=nx * ny), out=start[1:])
+
+    # every cell's candidates, listed once: the heads of its 3x3 block, one
+    # contiguous run of by_cell per block row (columns col-1..col+1)
+    crow, ccol = np.divmod(np.arange(nx * ny), nx)
+    rows = crow[:, None] + np.arange(-1, 2)
+    in_grid = (rows >= 0) & (rows < ny)
+    first_cell = np.clip(rows, 0, ny - 1) * nx
+    lo = start[first_cell + np.maximum(ccol - 1, 0)[:, None]]
+    hi = start[first_cell + np.minimum(ccol + 1, nx - 1)[:, None] + 1]
+    runs = np.where(in_grid, hi - lo, 0).ravel()
+    run_start = np.cumsum(runs) - runs
+    near = by_cell[np.arange(run_start[-1] + runs[-1]) + np.repeat(lo.ravel() - run_start, runs)]
+    near_x, near_y = hx[near], hy[near]
+    count = runs.reshape(-1, 3).sum(axis=1)
+    first = np.cumsum(count) - count
     left, right = beyond(hx, hcol, nx)
     down, up = beyond(hy, hrow, ny)
-    gap = np.minimum(
-        np.minimum(mx - left[mcol], right[mcol + 2] - mx),
-        np.minimum(my - down[mrow], up[mrow + 2] - my),
-    )
-    redo = np.flatnonzero(~(best < gap * gap))
-    if redo.size:
-        nearest[redo] = _nearest_dense(mx[redo], my[redo], hx, hy)
+
+    nearest = np.empty(len(mx), dtype=np.intp)
+    for lead in range(0, len(mx), GRID_BLOCK_MEMBERS):
+        block = slice(lead, lead + GRID_BLOCK_MEMBERS)
+        bx, by = mx[block], my[block]
+        mcol, mrow = cell_of(bx, x0, nx), cell_of(by, y0, ny)
+        cell = mrow * nx + mcol
+        per_member = count[cell]
+        seg = np.cumsum(per_member) - per_member
+        at = np.repeat(first[cell] - seg, per_member)
+        at += np.arange(len(at))
+        # (m - h) ** 2, squared in place: the block holds at most four
+        # candidate-length arrays at once
+        d2 = np.repeat(bx, per_member)
+        d2 -= near_x[at]
+        d2 *= d2
+        dy = np.repeat(by, per_member)
+        dy -= near_y[at]
+        dy *= dy
+        d2 += dy
+        del dy
+
+        scored = per_member > 0
+        seg = seg[scored]
+        best = np.full(len(bx), np.inf)
+        best[scored] = np.minimum.reduceat(d2, seg)
+        cand = near[at]
+        cand[d2 != np.repeat(best, per_member)] = n_heads
+        out = nearest[block]  # a view: writes land in nearest
+        out[scored] = np.minimum.reduceat(cand, seg)
+
+        gap = np.minimum(
+            np.minimum(bx - left[mcol], right[mcol + 2] - bx),
+            np.minimum(by - down[mrow], up[mrow + 2] - by),
+        )
+        # members with no candidate have best = inf and always land here
+        redo = np.flatnonzero(~(best < gap * gap))
+        if redo.size:
+            out[redo] = _nearest_dense(bx[redo], by[redo], hx, hy)
     return nearest
 
 

@@ -497,3 +497,11 @@ def test_help_lists_exactly_the_schema_flags(command, per_run, capsys):
     section = capsys.readouterr().out.split("config overrides:\n")[1].split("\n\n")[0]
     flags = re.findall(r"^ {2}(--[\w-]+)", section, re.M)
     assert sorted(flags) == sorted(CONFIG_FLAGS + per_run)
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_help_gives_workers_default(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())  # however argparse wraps it
+    assert "--workers WORKERS parallel worker processes (default: cpu count)" in help_text

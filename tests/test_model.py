@@ -114,7 +114,38 @@ def tiers_of(nodes):
     return [list(NodeTier)[t] for t in nodes.tier.tolist()]
 
 
+def deploy_by_loop(config, rng):
+    """Positions and base-station distances as a per-node loop of
+    rng.uniform and math.hypot calls gives them; deploy's one batched draw
+    must match them to the last bit."""
+    x, y = [], []
+    for _ in range(config.n):
+        x.append(rng.uniform(0.0, config.field_width))
+        y.append(rng.uniform(0.0, config.field_height))
+    d_bs = [math.hypot(a - config.bs_x, b - config.bs_y) for a, b in zip(x, y)]
+    return x, y, d_bs
+
+
 class TestDeploy:
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        width=st.floats(min_value=1e-3, max_value=1e4),
+        height=st.floats(min_value=1e-3, max_value=1e4),
+        bs=st.one_of(st.none(), st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_matches_per_node_uniform_loop(self, n, width, height, bs, seed):
+        bs_x, bs_y = bs or (None, None)
+        config = SimConfig(n=n, field_width=width, field_height=height,
+                           bs_x=bs_x, bs_y=bs_y, seed=seed)
+        rng, loop_rng = random.Random(seed), random.Random(seed)
+        nodes = deploy(config, rng)
+        x, y, d_bs = deploy_by_loop(config, loop_rng)
+        assert nodes.x.tolist() == x
+        assert nodes.y.tolist() == y
+        assert nodes.d_bs.tolist() == d_bs
+        assert rng.random() == loop_rng.random()  # same draws taken, no more
+
     def test_deterministic(self):
         config = SimConfig(n=50, seed=9)
         a = deploy(config, random.Random(config.seed))

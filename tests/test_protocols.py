@@ -7,6 +7,7 @@ evaluates the same rule on arrays, and the two must agree draw for draw.
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,15 +318,55 @@ class TestNearestHeadSearch:
     """_nearest_grid must return _nearest_dense's indices exactly, ties
     included, at any size; form_clusters picks between them by pair count."""
 
-    @given(head_member_layouts())
+    @given(
+        head_member_layouts(),
+        # blocks of 1-7 members put ties, empty 3x3 blocks and dense
+        # re-scores on either side of a block edge
+        st.one_of(st.integers(min_value=1, max_value=7), st.just(protocols.GRID_BLOCK_MEMBERS)),
+    )
     @example(  # an outside head exactly at the bound ties the block's best
         (np.array([6.0, 0.0]), np.array([2.0, 6.0]),
-         np.array([3.0, 6.0, 3.0, 5.0, 4.0, 3.0]), np.array([5.0, 5.0, 2.0, 6.0, 5.0, 0.0]))
+         np.array([3.0, 6.0, 3.0, 5.0, 4.0, 3.0]), np.array([5.0, 5.0, 2.0, 6.0, 5.0, 0.0])),
+        protocols.GRID_BLOCK_MEMBERS,
     )
     @settings(max_examples=300, deadline=None)
-    def test_grid_matches_dense(self, layout):
+    def test_grid_matches_dense(self, layout, block):
         mx, my, hx, hy = layout
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocols, "GRID_BLOCK_MEMBERS", block)
+            grid = _nearest_grid(mx, my, hx, hy)
+        assert grid.tolist() == _nearest_dense(mx, my, hx, hy).tolist()
+
+    def test_last_block_partly_filled(self, monkeypatch):
+        """1000 members in blocks of 7 end on a block of 6; on a 5-unit
+        lattice many members tie between heads, and members past the heads'
+        box score against border cells."""
+        rng = np.random.default_rng(11)
+        hx, hy = rng.integers(0, 6, (2, 40)).astype(float)
+        mx, my = rng.integers(-2, 9, (2, 1000)).astype(float)
+        monkeypatch.setattr(protocols, "GRID_BLOCK_MEMBERS", 7)
+        assert len(mx) % protocols.GRID_BLOCK_MEMBERS
         assert _nearest_grid(mx, my, hx, hy).tolist() == _nearest_dense(mx, my, hx, hy).tolist()
+
+    def test_peak_memory_bounded_at_n10000(self):
+        """An n=10000 round (9289 members, 711 dbcp heads) peaks under
+        2 MiB of traced numpy memory: member blocks bound every temporary,
+        where one flat member x candidate pass took 6.5 MiB."""
+        config = SimConfig(n=10000, protocol=ProtocolKind.DBCP, seed=3)
+        rng = random.Random(config.seed)
+        nodes = deploy(config, rng)
+        state = initial_state(config, nodes)
+        heads = elect_heads(state, state.alive, 0, rng)
+        members = np.setdiff1d(state.alive, heads)
+        assert (len(members), len(heads)) == (9289, 711)
+        args = nodes.x[members], nodes.y[members], nodes.x[heads], nodes.y[heads]
+        tracemalloc.start()
+        try:
+            _nearest_grid(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_empty_blocks_fall_back_to_dense(self, monkeypatch):
         """Heads in two knots at opposite corners leave the middle of their
