@@ -338,9 +338,9 @@ class TestNearestHeadSearch:
         assert grid.tolist() == _nearest_dense(mx, my, hx, hy).tolist()
 
     def test_last_block_partly_filled(self, monkeypatch):
-        """1000 members in blocks of 7 end on a block of 6; on a 5-unit
-        lattice many members tie between heads, and members past the heads'
-        box score against border cells."""
+        """1000 members in blocks of 7 end on a block of 6; on a small
+        integer lattice many members tie between heads, and members past the
+        heads' box score against border cells."""
         rng = np.random.default_rng(11)
         hx, hy = rng.integers(0, 6, (2, 40)).astype(float)
         mx, my = rng.integers(-2, 9, (2, 1000)).astype(float)
@@ -351,7 +351,7 @@ class TestNearestHeadSearch:
     def test_peak_memory_bounded_at_n10000(self):
         """An n=10000 round (9289 members, 711 dbcp heads) peaks under
         2 MiB of traced numpy memory: member blocks bound every temporary,
-        where one flat member x candidate pass took 6.5 MiB."""
+        where one flat pass over all members would take about 6.5 MiB."""
         config = SimConfig(n=10000, protocol=ProtocolKind.DBCP, seed=3)
         rng = random.Random(config.seed)
         nodes = deploy(config, rng)
