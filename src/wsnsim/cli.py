@@ -86,16 +86,19 @@ def _resolve(path: str | os.PathLike | None, overrides: dict | None) -> dict:
                 raise ValueError(f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ValueError(f"{path} must hold a flat JSON object")
-        unknown = sorted(set(loaded) - set(CONFIG_KEYS))
-        if unknown:
-            raise ValueError(f"unknown config keys in {path}: {', '.join(unknown)}")
-        values.update(loaded)
+        _update_known(values, loaded, f"keys in {path}")
     if overrides:
-        unknown = sorted(set(overrides) - set(CONFIG_KEYS))
-        if unknown:
-            raise ValueError(f"unknown config overrides: {', '.join(unknown)}")
-        values.update(overrides)
+        _update_known(values, overrides, "overrides")
     return values
+
+
+def _update_known(values: dict, updates: dict, source: str) -> None:
+    """values.update(updates), after rejecting any key that is not a config
+    key; `source` names the updates in the error."""
+    unknown = sorted(set(updates) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config {source}: {', '.join(unknown)}")
+    values.update(updates)
 
 
 def _coerce(key: ConfigKey, value: object) -> object:
@@ -166,10 +169,6 @@ def run_batch(configs: list[SimConfig], workers: int | None = None) -> list[engi
         return [engine.run(c) for c in configs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(engine.run, configs))
-
-
-def _series_name(config: SimConfig) -> str:
-    return f"series_{config.protocol.value}_seed{config.seed}.csv"
 
 
 def _parse_seed_range(text: str) -> list[int]:
@@ -250,18 +249,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="all three protocols over a seed range")
     _add_config_flags(p_cmp, with_seed=False)
-    p_cmp.add_argument("--seeds", type=_parse_seed_range, default=list(range(1, 11)),
-                       help="inclusive seed range a..b (default 1..10)")
-    p_cmp.add_argument("--workers", type=_parse_workers, default=None,
-                       help="parallel worker processes (default: cpu count)")
 
     p_swp = sub.add_parser("sweep", help="compare repeatedly while varying one parameter")
     _add_config_flags(p_swp, with_seed=False)
     p_swp.add_argument("--param", choices=SWEEPABLE, required=True)
     p_swp.add_argument("--values", type=_parse_values, required=True,
                        help="comma separated parameter values")
-    p_swp.add_argument("--seeds", type=_parse_seed_range, default=list(range(1, 11)))
-    p_swp.add_argument("--workers", type=_parse_workers, default=None,
+
+    for p in (p_cmp, p_swp):
+        p.add_argument("--seeds", type=_parse_seed_range, default=list(range(1, 11)),
+                       help="inclusive seed range a..b (default 1..10)")
+        p.add_argument("--workers", type=_parse_workers, default=None,
                        help="parallel worker processes (default: cpu count)")
     return parser
 
@@ -292,15 +290,21 @@ def _compare_configs(base: SimConfig, seeds: list[int]) -> list[SimConfig]:
     return [replace(base, protocol=proto, seed=seed) for proto in PROTOCOL_ORDER for seed in seeds]
 
 
+def _write_runs(results: list[engine.RunResult], out_dir: Path) -> None:
+    """Write each run's round series and the summary of all of them."""
+    for result in results:
+        name = f"series_{result.config.protocol.value}_seed{result.config.seed}.csv"
+        report.write_series(result.series, out_dir / name)
+    report.write_summary(results, out_dir / "summary.csv")
+
+
 def _run_compare_batch(
     base: SimConfig, configs: list[SimConfig], out_dir: Path, workers: int | None
 ) -> dict[ProtocolKind, report.ProtocolAggregate]:
     """Run the _compare_configs of `base`, writing the full file set into
     out_dir."""
     results = run_batch(configs, workers)
-    for result in results:
-        report.write_series(result.series, out_dir / _series_name(result.config))
-    report.write_summary(results, out_dir / "summary.csv")
+    _write_runs(results, out_dir)
     comparison = report.aggregate(results)
     report.write_mean_curves(comparison, out_dir / "mean_curves.csv")
     report.write_comparison(comparison, out_dir / "comparison.csv")
@@ -312,8 +316,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config, _collect_overrides(args))
     out_dir = _prepare_out(args.out)
     result = engine.run(config)
-    report.write_series(result.series, out_dir / _series_name(config))
-    report.write_summary([result], out_dir / "summary.csv")
+    _write_runs([result], out_dir)
     _echo_config(config, out_dir)
     s = result.summary
     print(

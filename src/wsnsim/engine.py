@@ -112,10 +112,11 @@ class EngineState:
 
 
 class Ledger(NamedTuple):
-    """One round's energy charges in the order the ledger adds them: cluster
-    by cluster (ascending head id), each cluster's members in ascending id
-    and then its head; in zero-head rounds, every alive node in ascending id.
-    `links` holds the member-to-head distances in the same order."""
+    """One round's energy charges in the order the ledger adds them, a
+    stable sort keyed on each member's head index and each head's own: cluster
+    by cluster (ascending head id), its members in ascending id, then its
+    head.  In zero-head rounds, every alive node in ascending id.  `links`
+    holds the member-to-head distances in the members' order."""
 
     ids: np.ndarray
     costs: np.ndarray
@@ -146,6 +147,11 @@ def _sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
     return float(np.add.accumulate(values)[-1])
 
 
+def _mean(total: float, count: int) -> float:
+    """total / count, or NaN when nothing was counted."""
+    return total / count if count else math.nan
+
+
 def pair_tables(config: SimConfig, x: np.ndarray, y: np.ndarray) -> PairTables:
     """The PairTables of nodes at (x, y).  math.hypot ignores the signs of
     its arguments, so each link is measured once and mirrored."""
@@ -166,15 +172,13 @@ def transmission_costs(
 
     Members pay one transmission to their head; heads pay reception per
     member, aggregation over members+1 signals, and one transmission to the
-    base station.  Without heads (`head_of` None) every node of `members`
-    pays one transmission to the base station.  Member links and their
-    costs come from the run's PairTables if it has them, else they are
-    measured and priced here.
+    base station, all in the Ledger's order (one stable sort on the head
+    index).  Without heads (`head_of` None) every node of `members` pays one
+    transmission to the base station.  Member links and their costs come
+    from the run's PairTables if it has them, else they are measured here.
     """
     if head_of is None:
         return Ledger(members, state.bs_cost[members], np.empty(0))
-    order = head_of.argsort(kind="stable")  # cluster by cluster, ids ascending
-    members, head_of = members[order], head_of[order]
     head_ids = heads[head_of]
     if state.pairs is None:
         links = link_lengths(
@@ -185,15 +189,12 @@ def transmission_costs(
         at = members * len(state.x) + head_ids
         links, member_costs = state.pairs.link.take(at), state.pairs.tx.take(at)
     n_members = np.bincount(head_of, minlength=len(heads))
-    # member j of cluster k follows k heads; head k follows its cluster
-    member_at = np.arange(len(members)) + head_of
-    head_at = n_members.cumsum() + np.arange(len(heads))
-    ids = np.empty(len(members) + len(heads), dtype=np.intp)
-    costs = np.empty(len(ids))
-    ids[member_at], costs[member_at] = members, member_costs
-    ids[head_at] = heads
-    costs[head_at] = state.fuse_cost[n_members] + state.bs_cost[heads]
-    return Ledger(ids, costs, links)
+    head_costs = state.fuse_cost[n_members] + state.bs_cost[heads]
+    # member j keyed by head_of[j], head k by k; stable keeps members first
+    order = np.concatenate((head_of, np.arange(len(heads)))).argsort(kind="stable")
+    ids = np.concatenate((members, heads))[order]
+    costs = np.concatenate((member_costs, head_costs))[order]
+    return Ledger(ids, costs, links[order[order < len(members)]])
 
 
 def simulate_round(state: EngineState, r: int, rng: random.Random) -> RoundMetrics:
@@ -293,14 +294,6 @@ def run(config: SimConfig) -> RunResult:
             lnd = metrics.round
             break
 
-    mean_member = (
-        state.member_distance_sum / state.member_count if state.member_count else math.nan
-    )
-    mean_head = (
-        state.head_distance_sum / state.head_count_total
-        if state.head_count_total
-        else math.nan
-    )
     return RunResult(
         config=config,
         series=series,
@@ -308,6 +301,6 @@ def run(config: SimConfig) -> RunResult:
         d_avg=state.d_avg,
         initial_energy_j=initial_energy,
         energy_dissipated_j=state.energy_dissipated,
-        mean_member_to_head_m=mean_member,
-        mean_head_to_bs_m=mean_head,
+        mean_member_to_head_m=_mean(state.member_distance_sum, state.member_count),
+        mean_head_to_bs_m=_mean(state.head_distance_sum, state.head_count_total),
     )

@@ -58,13 +58,16 @@ class SimConfig:
     max_rounds: int = 10000
 
     def __post_init__(self) -> None:
-        # radio, then heterogeneity, then the rest: a config that breaks
+        # non-finite floats first: NaN passes every range rule below
+        for name, value in vars(self).items():  # in field order
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        # then radio, heterogeneity and the rest: a finite config that breaks
         # several rules reports the first, as the seed copy does
-        for name in ("e_elec", "eps_fs", "eps_mp", "e_da"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.d0_override is not None and self.d0_override <= 0:
-            raise ValueError(f"d0_override must be positive, got {self.d0_override}")
+        for name in ("e_elec", "eps_fs", "eps_mp", "e_da", "d0_override"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if not 0.0 <= self.m0 <= self.m <= 1.0:
             raise ValueError(
                 f"need 0 <= m0 <= m <= 1, got m0={self.m0}, m={self.m}"

@@ -134,8 +134,9 @@ GRID_BLOCK_MEMBERS = 1024
 
 def squared_distances(ax, ay, bx, by) -> np.ndarray:
     """The a x b matrix of squared distances from points (ax, ay) to points
-    (bx, by): the one expression both nearest-head searches and the
-    engine's pair table compare."""
+    (bx, by): the expression the dense nearest-head search and the engine's
+    pair table compare.  _nearest_grid writes the same expression again,
+    squared in place, for the reason given there."""
     return (ax[:, None] - bx[None, :]) ** 2 + (ay[:, None] - by[None, :]) ** 2
 
 
@@ -220,8 +221,12 @@ def _nearest_grid(mx, my, hx, hy) -> np.ndarray:
         seg = np.cumsum(per_member) - per_member
         at = np.repeat(first[cell] - seg, per_member)
         at += np.arange(len(at))
-        # (m - h) ** 2, squared in place: the block holds at most four
-        # candidate-length arrays at once
+        # squared_distances' expression, squared in place so the block holds
+        # at most four candidate-length arrays.  Calling an in-place
+        # squared_distances on the gathered candidates instead took 13% longer
+        # over nine n=10000 rounds (median of 30 interleaved passes), faulted
+        # 450-600 pages a call, not 160-430, and peaked at 1.5-1.7 MiB of
+        # traced memory, not 1.0-1.1
         d2 = np.repeat(bx, per_member)
         d2 -= near_x[at]
         d2 *= d2

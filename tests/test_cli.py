@@ -505,3 +505,4 @@ def test_help_gives_workers_default(command, capsys):
         main([command, "--help"])
     help_text = " ".join(capsys.readouterr().out.split())  # however argparse wraps it
     assert "--workers WORKERS parallel worker processes (default: cpu count)" in help_text
+    assert "--seeds SEEDS inclusive seed range a..b (default 1..10)" in help_text

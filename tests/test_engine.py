@@ -80,6 +80,55 @@ class TestTransmissionCosts:
         expected = aggregation_energy(radio, 1) + tx_energy(radio, 10.0)
         assert costs_by_id(ledger)[0] == pytest.approx(expected, rel=1e-12)
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.parametrize(
+        "table_max", [engine.PAIR_TABLE_MAX_NODES, 0], ids=["tables", "per_round"]
+    )
+    def test_ledger_matches_per_cluster_loop(self, make_deployment, table_max, data):
+        """Any clustering, on both pricing paths, gives what a loop over the
+        clusters charges: each head's members in ascending id, then the head;
+        with no head, every node direct to the base station."""
+        coord = st.floats(min_value=0.0, max_value=100.0)
+        coords = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=25))
+        n = len(coords)
+        # each node a head, a member or dead
+        roles = data.draw(st.lists(st.sampled_from("hmd"), min_size=n, max_size=n))
+        heads = [i for i, role in enumerate(roles) if role == "h"]
+        members = [i for i, role in enumerate(roles) if role == "m"]
+        nodes = make_deployment(coords)
+        config = SimConfig(n=n)
+        if heads:
+            index = st.integers(min_value=0, max_value=len(heads) - 1)
+            head_of = data.draw(st.lists(index, min_size=len(members), max_size=len(members)))
+        else:
+            head_of = None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "PAIR_TABLE_MAX_NODES", table_max)
+            ledger = ledger_for(nodes, heads, members, head_of)
+
+        x, y, d_bs = nodes.x.tolist(), nodes.y.tolist(), nodes.d_bs.tolist()
+        if head_of is None:
+            ids, costs, links = members, [tx_energy(config, d_bs[i]) for i in members], []
+        else:
+            ids, costs, links = [], [], []
+            for k, h in enumerate(heads):
+                cluster = [i for i, hk in zip(members, head_of) if hk == k]
+                for i in cluster:
+                    link = math.hypot(x[i] - x[h], y[i] - y[h])
+                    ids.append(i)
+                    costs.append(tx_energy(config, link))
+                    links.append(link)
+                ids.append(h)
+                costs.append(
+                    len(cluster) * rx_energy(config)
+                    + aggregation_energy(config, len(cluster) + 1)
+                    + tx_energy(config, d_bs[h])
+                )
+        assert ledger.ids.tolist() == ids
+        assert ledger.costs.tolist() == costs
+        assert ledger.links.tolist() == links
+
     @given(
         hx=st.floats(min_value=0.0, max_value=100.0),
         hy=st.floats(min_value=0.0, max_value=100.0),

@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +37,9 @@ class TestHeterogeneityParams:
         assert h.a == 0.0 and h.b == 0.0
 
 
+FLOAT_FIELDS = [f.name for f in fields(SimConfig) if "float" in f.type]  # `float | None` too
+
+
 class TestSimConfig:
     def test_bs_defaults_to_field_centre(self):
         config = SimConfig(field_width=100.0, field_height=80.0)
@@ -62,6 +66,15 @@ class TestSimConfig:
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_float_rejected(self, name, value):
+        """The CLI's text, for library callers too: NaN would pass every
+        range rule and run to the round cap."""
+        with pytest.raises(ValueError) as info:
+            SimConfig(**{name: value})
+        assert str(info.value) == f"{name} must be a finite number, got {value!r}"
 
     def test_largest_packet_allowed(self):
         bits = int(sys.float_info.max)
