@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Deployment, NodeTier, SimConfig, deploy, link_lengths
+from .model import Deployment, NodeTier, SimConfig, deploy, link_lengths, uniforms
 from .protocols import elect_heads, election_rule, form_clusters, squared_distances
 from .radio import aggregation_energy, rx_energy, tx_energy
 
@@ -30,6 +30,14 @@ from .radio import aggregation_energy, rx_energy, tx_energy
 # default n=100 run lasts 10000 rounds and an e0=0.05 one about 2400; at 256
 # nodes a run breaks even within about 120 rounds and holds 1.5 MiB of tables.
 PAIR_TABLE_MAX_NODES = 256
+
+# Draws a DrawStream takes from its rng at a time.  On one core of a 2-vCPU
+# Xeon VM (best of 5 timeit passes), model.uniforms took 116-124 ns a draw at
+# k=100, 43-46 at 1024, 36-37 at 4096 and 33-34 at 8192, where np.fromiter
+# over rng.random took 85-92 ns a draw at k=100.  Taking a round's draws
+# with one uniforms call each would cost more than fromiter; a block of
+# 8192 holds 64 KiB and lasts a default n=100 run about 80 rounds.
+DRAW_BLOCK = 8192
 
 
 class RoundMetrics(NamedTuple):
@@ -77,12 +85,12 @@ class EngineState:
     run's running totals.
 
     `alive` holds the ids of the alive nodes in ascending order.  A node may
-    be elected again from round `eligible_from[i]` on.  `rate` and `epoch`
-    hold the election rate and eligibility epoch of each tier (NodeTier
-    order); `factor` is each node's dbcp distance factor, 1 under leach and
-    sep; `bs_cost` is each node's transmit cost to the base station;
-    `fuse_cost[k]` is what a head pays to receive k members and fuse k+1
-    signals; `pairs` holds the PairTables of a network of at most
+    be elected again from round `eligible_from[i]` on.  `rate` and
+    `rotation` hold the election rate and rotation pair (1/p, epoch) of each
+    tier (NodeTier order); `factor` is each node's dbcp distance factor, 1
+    under leach and sep; `bs_cost` is each node's transmit cost to the base
+    station; `fuse_cost[k]` is what a head pays to receive k members and fuse
+    k+1 signals; `pairs` holds the PairTables of a network of at most
     PAIR_TABLE_MAX_NODES nodes, else None.  All but `energy`, `alive`,
     `eligible_from` and the totals are fixed at initial_state.
     """
@@ -98,7 +106,7 @@ class EngineState:
     bs_cost: np.ndarray
     fuse_cost: np.ndarray
     rate: tuple[float, ...]
-    epoch: np.ndarray
+    rotation: tuple[tuple[float, int], ...]
     factor: np.ndarray
     pairs: PairTables | None
     d_avg: float
@@ -109,6 +117,31 @@ class EngineState:
     member_count: int = 0
     head_distance_sum: float = 0.0
     head_count_total: int = 0
+
+
+class DrawStream:
+    """The random() values of `rng` in order, served k at a time by take(k).
+
+    Draws are fetched through model.uniforms, DRAW_BLOCK at a time (or k, if
+    k is larger), so the k-th value served is the k-th rng.random() value;
+    the rng itself runs up to one block ahead of what has been served.
+    """
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.block = np.empty(0)
+        self.at = 0
+
+    def take(self, k: int) -> np.ndarray:
+        """The next k draws."""
+        end = self.at + k
+        if end > len(self.block):
+            fresh = uniforms(self.rng, max(DRAW_BLOCK, k))
+            self.block = np.concatenate((self.block[self.at :], fresh))
+            self.at, end = 0, end - self.at
+        draws = self.block[self.at : end]
+        self.at = end
+        return draws
 
 
 class Ledger(NamedTuple):
@@ -140,10 +173,11 @@ def _sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
     loop would (0.0 + v == v, so a zero start is left out).  np.sum adds
     pairwise and builtin sum compensates (Python 3.12+), and either can
     change the last bit."""
+    if not len(values):
+        return float(start)
     if start:
-        values = np.concatenate(([start], values))
-    elif not len(values):
-        return 0.0
+        values = values.copy()
+        values[0] += start  # start + values[0]: addition commutes exactly
     return float(np.add.accumulate(values)[-1])
 
 
@@ -197,10 +231,11 @@ def transmission_costs(
     return Ledger(ids, costs, links[order[order < len(members)]])
 
 
-def simulate_round(state: EngineState, r: int, rng: random.Random) -> RoundMetrics:
-    """Advance the network one round; returns metrics sampled at round end."""
+def simulate_round(state: EngineState, r: int, draws: DrawStream) -> RoundMetrics:
+    """Advance the network one round, taking one draw per alive node from
+    `draws`; returns metrics sampled at round end."""
     alive = state.alive
-    heads = elect_heads(state, alive, r, rng)
+    heads = elect_heads(state, alive, r, draws)
     pairs = state.pairs
     members, head_of = form_clusters(
         alive, heads, state.x, state.y, None if pairs is None else pairs.d2
@@ -215,8 +250,7 @@ def simulate_round(state: EngineState, r: int, rng: random.Random) -> RoundMetri
     left = energy - spent
     state.energy[ids] = left
     state.energy_dissipated = _sequential_sum(spent, state.energy_dissipated)
-    dead = ids[left == 0.0]
-    if len(dead):
+    if np.count_nonzero(left) < len(left):
         # every alive node was charged, and only the dead hold 0 J
         state.alive = alive[state.energy[alive] > 0.0]
         state.alive_by_tier = np.bincount(
@@ -245,12 +279,12 @@ def simulate_round(state: EngineState, r: int, rng: random.Random) -> RoundMetri
 
 def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
     """Engine state for a fresh deployment; the distance average, the
-    election rule's rates, epochs and factors, the base-station transmit
-    costs, the heads' fuse costs and, for a small network, the pair tables
-    are fixed here and never recomputed."""
+    election rule's rates, rotation pairs and factors, the base-station
+    transmit costs, the heads' fuse costs and, for a small network, the pair
+    tables are fixed here and never recomputed."""
     n = len(nodes.x)
     d_avg = _sequential_sum(nodes.d_bs) / n
-    rate, epoch, factor = election_rule(config, nodes.d_bs, d_avg)
+    rate, rotation, factor = election_rule(config, nodes.d_bs, d_avg)
     k = np.arange(n)  # a head's member count
     return EngineState(
         config=config,
@@ -264,7 +298,7 @@ def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
         bs_cost=tx_energy(config, nodes.d_bs),
         fuse_cost=k * rx_energy(config) + aggregation_energy(config, k + 1),
         rate=rate,
-        epoch=epoch,
+        rotation=rotation,
         factor=factor,
         pairs=pair_tables(config, nodes.x, nodes.y) if n <= PAIR_TABLE_MAX_NODES else None,
         d_avg=d_avg,
@@ -273,9 +307,13 @@ def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
 
 
 def run(config: SimConfig) -> RunResult:
-    """Deploy and simulate until every node is dead or max_rounds is reached."""
+    """Deploy and simulate until every node is dead or max_rounds is reached.
+
+    One random.Random(config.seed) serves the run: deploy takes its first 2n
+    draws, and the rounds take the rest in order through a DrawStream."""
     rng = random.Random(config.seed)
     nodes = deploy(config, rng)
+    draws = DrawStream(rng)
     state = initial_state(config, nodes)
     initial_energy = _sequential_sum(nodes.energy)
 
@@ -283,7 +321,7 @@ def run(config: SimConfig) -> RunResult:
     fnd = hnd = lnd = None
     half = config.n // 2
     for r in range(config.max_rounds):
-        metrics = simulate_round(state, r, rng)
+        metrics = simulate_round(state, r, draws)
         series.append(metrics)
         alive = metrics.alive_total
         if fnd is None and alive < config.n:

@@ -172,18 +172,33 @@ def link_lengths(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
 
 
+def uniforms(rng: random.Random, k: int) -> np.ndarray:
+    """The next k rng.random() values, bit for bit, leaving rng where k
+    calls would.
+
+    random() builds each double from two 32-bit Mersenne Twister outputs, a
+    then b, as ((a >> 5) * 2**26 + (b >> 6)) / 2**53.  getrandbits(64*k)
+    takes the same 2k outputs in the same order and places the first in the
+    lowest 32 bits, so its little-endian bytes hold them in order on any
+    platform.
+    """
+    w = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u4")
+    return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
 def deploy(config: SimConfig, rng: random.Random) -> Deployment:
     """Place nodes uniformly over the field and assign tiers by node id.
 
     Ids 0 .. n_super-1 are super, the next n_advanced ids advanced, the rest
-    normal.  Positions consume exactly two draws per node in id order, x
-    then y, so the deployment is a pure function of (config, rng state).
+    normal.  Positions take the rng's next 2n draws through uniforms, two
+    per node in id order, x then y, so the deployment is a pure function of
+    (config, rng state) and leaves rng where 2n random() calls would.
     """
     n_normal, n_advanced, n_super = tier_counts(config)
     tier = np.repeat([2, 1, 0], [n_super, n_advanced, n_normal])  # super, advanced, normal
     e0 = config.e0
     tier_energy = np.array([e0, e0 * (1.0 + config.a), e0 * (1.0 + config.b)])
-    u = np.fromiter(iter(rng.random, None), float, 2 * config.n)
+    u = uniforms(rng, 2 * config.n)
     # rng.uniform(0.0, b) returns 0.0 + (b - 0.0) * rng.random(), which is
     # b * u exactly for u >= 0
     x = config.field_width * u[0::2]

@@ -7,15 +7,15 @@ DBCP:  SEP rates with the near-node distance factor applied on top.
 Thresholds follow the rotating-eligibility scheme: each node may serve once
 per epoch of ceil(1/p) rounds, with the per-round threshold ramping up to 1
 at the end of the epoch so that every eligible node has served exactly once
-by the time the epoch wraps.  election_rule fixes a run's tier rates, epochs
-and distance factors; elect_heads draws each round's heads against them and
-form_clusters attaches every other alive node to its nearest head.
+by the time the epoch wraps.  election_rule fixes a run's tier rates,
+rotation pairs (1/p, epoch) and distance factors; elect_heads draws each
+round's heads against them and form_clusters attaches every other alive node
+to its nearest head.
 """
 
 from __future__ import annotations
 
 import math
-import random
 
 import numpy as np
 
@@ -32,9 +32,21 @@ def _inverse_rate(p: float) -> float:
     return inv
 
 
+def rotation(p: float) -> tuple[float, int]:
+    """The rotation pair of election probability p: its inverse rate 1/p
+    and its epoch ceil(1/p), the number of rounds per eligibility epoch."""
+    inv = _inverse_rate(p)
+    return inv, math.ceil(inv)
+
+
 def epoch_length(p: float) -> int:
     """Rounds per eligibility epoch for election probability p: ceil(1/p)."""
-    return math.ceil(_inverse_rate(p))
+    return rotation(p)[1]
+
+
+def _rotating_threshold(inv: float, epoch: int, r: int) -> float:
+    # the rotating threshold of the tier with rotation pair (inv, epoch)
+    return min(1.0, 1.0 / (inv - r % epoch))
 
 
 def sep_threshold(p: float, r: int) -> float:
@@ -44,8 +56,7 @@ def sep_threshold(p: float, r: int) -> float:
     one division fewer and is exact (== 1.0) at the end of an epoch whenever
     1/p is integral.
     """
-    inv = _inverse_rate(p)
-    return min(1.0, 1.0 / (inv - r % math.ceil(inv)))
+    return _rotating_threshold(*rotation(p), r)
 
 
 def distance_factor(d, d_avg: float):
@@ -70,9 +81,9 @@ def threshold(tier_thresholds, tier, factor, eligible) -> np.ndarray:
 
 def election_rule(
     config: SimConfig, d_bs, d_avg: float
-) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
-    """The election rate and eligibility epoch of each tier (in NodeTier
-    order) and the distance factor of each node under config.protocol."""
+) -> tuple[tuple[float, ...], tuple[tuple[float, int], ...], np.ndarray]:
+    """The election rate and rotation pair of each tier (in NodeTier order)
+    and the distance factor of each node under config.protocol."""
     if config.protocol is ProtocolKind.LEACH:
         rate = (config.p_opt,) * len(NodeTier)
     else:
@@ -81,25 +92,25 @@ def election_rule(
         factor = distance_factor(d_bs, d_avg)
     else:
         factor = np.ones(len(d_bs))
-    return rate, np.array([epoch_length(p) for p in rate]), factor
+    return rate, tuple(map(rotation, rate)), factor
 
 
-def elect_heads(state, alive: np.ndarray, r: int, rng: random.Random) -> np.ndarray:
-    """Draw one uniform per node of `alive` (ascending ids) in that order; a
-    node becomes head iff its draw falls below its election threshold.
-    Elected nodes are marked ineligible for the remainder of their tier
-    epoch.  Returns the head ids in ascending order.
+def elect_heads(state, alive: np.ndarray, r: int, draws) -> np.ndarray:
+    """Take one uniform per node of `alive` (ascending ids) from `draws`, in
+    that order; a node becomes head iff its draw falls below its election
+    threshold.  Elected nodes are marked ineligible for the remainder of
+    their tier epoch.  Returns the head ids in ascending order.
 
-    `state` is the run's node table (engine.EngineState): per-tier rate and
-    epoch, per-node tier, distance factor and first round of renewed
-    eligibility.
+    `state` is the run's node table (engine.EngineState): per-tier rotation
+    pair, per-node tier, distance factor and first round of renewed
+    eligibility.  `draws` serves the run's uniforms k at a time through
+    `take(k)` (engine.DrawStream).
     """
-    # every alive node draws, eligible or not (determinism contract); the
-    # iterator never ends, and fromiter takes exactly len(alive) draws
-    u = np.fromiter(iter(rng.random, None), float, len(alive))
+    # every alive node draws, eligible or not (determinism contract)
+    u = draws.take(len(alive))
     tier = state.tier[alive]
     t = threshold(
-        [sep_threshold(p, r) for p in state.rate],
+        [_rotating_threshold(inv, epoch, r) for inv, epoch in state.rotation],
         tier,
         state.factor[alive],
         r >= state.eligible_from[alive],
@@ -107,8 +118,9 @@ def elect_heads(state, alive: np.ndarray, r: int, rng: random.Random) -> np.ndar
     elected = u < t
     heads = alive[elected]
     if len(heads):
-        epoch = state.epoch[tier[elected]]
-        state.eligible_from[heads] = (r // epoch + 1) * epoch
+        # the first round of each tier's next epoch
+        renewed = [r - r % epoch + epoch for _, epoch in state.rotation]
+        state.eligible_from[heads] = np.array(renewed)[tier[elected]]
     return heads
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from wsnsim import cli, engine, report
-from wsnsim.engine import initial_state, simulate_round
+from wsnsim.engine import DrawStream, initial_state, simulate_round
 from wsnsim.model import NodeTier, ProtocolKind, SimConfig, deploy, weighted_probabilities
 from wsnsim.protocols import distance_factor, elect_heads, sep_threshold, threshold
 from wsnsim.radio import crossover_distance, rx_energy, tx_energy
@@ -156,11 +156,11 @@ def test_criterion_4_election_oracle():
         # heads are independent Bernoulli draws in round 0, so the empirical
         # mean over `trials` draws has standard error sqrt(sum t(1-t)/trials)
         se = math.sqrt(sum(t * (1.0 - t) for t in thresholds) / trials)
-        rng = random.Random(7)
+        draws = DrawStream(random.Random(7))
         total = 0
         for _ in range(trials):
             state.eligible_from[:] = 0
-            total += len(elect_heads(state, state.alive, 0, rng))
+            total += len(elect_heads(state, state.alive, 0, draws))
         mean = total / trials
         deviations[protocol.value] = (mean, expected, abs(mean - expected) / se)
         ok = ok and abs(mean - expected) <= 3.0 * se
@@ -195,7 +195,7 @@ def test_criterion_5_single_cluster_closed_form(make_deployment):
     state.eligible_from[1:] = 10**9
     before = sum(nodes.energy.tolist())
     # round 9 closes the p=0.1 epoch, so the sole eligible node is certain
-    metrics = simulate_round(state, 9, random.Random(3))
+    metrics = simulate_round(state, 9, DrawStream(random.Random(3)))
     after = sum(state.energy.tolist())
     engine_spend = before - after
 

@@ -7,12 +7,20 @@ plain-stdlib estimator before the module existed and are frozen here.
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from wsnsim.engine import initial_state
-from wsnsim.model import NodeTier, ProtocolKind, SimConfig, weighted_probabilities
-from wsnsim.protocols import distance_factor, elect_heads, epoch_length, sep_threshold, threshold
+from wsnsim.model import NodeTier, ProtocolKind, SimConfig, deploy, weighted_probabilities
+from wsnsim.protocols import (
+    _rotating_threshold,
+    distance_factor,
+    elect_heads,
+    epoch_length,
+    sep_threshold,
+    threshold,
+)
 
 
 def dbcp_threshold(p, r, eligible, d_i, d_avg):
@@ -198,12 +206,39 @@ class TestDbcpThreshold:
         assert dbcp_threshold(0.1, 3, False, 10.0, 40.0) == 0.0
 
 
-class AlwaysZero:
-    """An rng whose every draw is 0.0, so elect_heads elects exactly the
-    eligible nodes."""
+# rates whose inverse is an integer, and rates within a few 1e-9 of one,
+# where _inverse_rate snaps 1/p to the integer or leaves it
+exact_rates = st.sampled_from([0.1, 0.2, 0.25, 1.0 / 3.0, 0.5, 1.0 / 7.0, 0.05, 0.01])
+near_snap = st.builds(
+    lambda k, rel: 1.0 / (k * (1.0 + rel)),
+    st.integers(min_value=2, max_value=10_000),
+    st.floats(min_value=-3e-9, max_value=3e-9),
+)
+any_rate = st.floats(min_value=1e-300, max_value=1.0, exclude_max=True)
 
-    def random(self):
-        return 0.0
+
+class TestRotationPair:
+    @given(p=st.one_of(exact_rates, near_snap, any_rate), r=st.integers(0, 10**7))
+    @example(p=0.1, r=9)
+    @example(p=1.0 / (10 * (1.0 + 1e-9)), r=10**7 - 1)
+    def test_stored_pair_gives_threshold_and_next_epoch(self, p, r):
+        """The (1/p, epoch) pair initial_state stores for each tier gives
+        sep_threshold(p, r), and the round a head elected in round r may
+        serve again, r - r % epoch + epoch, is the start of its next epoch."""
+        config = SimConfig(n=1, p_opt=p, protocol=ProtocolKind.LEACH, m=0.0, m0=0.0, a=0.0, b=0.0)
+        state = initial_state(config, deploy(config, random.Random(0)))
+        epoch = epoch_length(p)
+        for inv, e in state.rotation:
+            assert _rotating_threshold(inv, e, r) == sep_threshold(p, r)
+            assert r - r % e + e == (r // epoch + 1) * epoch
+
+
+class AlwaysZero:
+    """A draw stream whose every draw is 0.0, so elect_heads elects exactly
+    the eligible nodes."""
+
+    def take(self, k):
+        return np.zeros(k)
 
 
 def eligibility_state(make_deployment, tiers, protocol=ProtocolKind.LEACH, p_opt=0.1):
@@ -243,7 +278,7 @@ class TestEligibilityState:
         state = eligibility_state(
             make_deployment, [NodeTier.NORMAL, NodeTier.ADVANCED], protocol=ProtocolKind.SEP
         )
-        assert state.epoch.tolist() == [15, 5, 4]
+        assert [epoch for _, epoch in state.rotation] == [15, 5, 4]
         assert eligible_in(state, 0) == [0, 1]
         assert eligible_in(state, 5) == [1]
         assert 0 in eligible_in(state, 15)

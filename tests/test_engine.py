@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wsnsim import engine
-from wsnsim.engine import initial_state, simulate_round, transmission_costs
+from wsnsim.engine import DRAW_BLOCK, DrawStream, initial_state, simulate_round, transmission_costs
 from wsnsim.model import ProtocolKind, SimConfig, deploy
 from wsnsim.protocols import squared_distances
 from wsnsim.radio import aggregation_energy, rx_energy, tx_energy
@@ -197,13 +197,42 @@ class TestPairTables:
         monkeypatch.setattr(engine, "PAIR_TABLE_MAX_NODES", 0)
         states.append(initial_state(config, nodes))
         assert states[1].pairs is None
-        rngs = [random.Random(seed), random.Random(seed)]
+        rngs = [DrawStream(random.Random(seed)), DrawStream(random.Random(seed))]
         for r in range(400):
             a, b = (simulate_round(st, r, g) for st, g in zip(states, rngs))
             assert a == b
         assert states[0].energy.tolist() == states[1].energy.tolist()
         for total in ("energy_dissipated", "member_distance_sum", "head_distance_sum"):
             assert getattr(states[0], total) == getattr(states[1], total)
+
+
+class TestDrawStream:
+    """The stream serves a run's draws in blocks; whatever the take sizes,
+    the draws served are the rng's random() values in order."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        sizes=st.lists(
+            st.one_of(
+                st.just(0),
+                st.integers(min_value=1, max_value=300),
+                st.integers(min_value=DRAW_BLOCK - 300, max_value=DRAW_BLOCK),
+            ),
+            max_size=6,
+        ),
+        big=st.integers(min_value=DRAW_BLOCK + 1, max_value=2 * DRAW_BLOCK),
+        at=st.integers(min_value=0, max_value=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_takes_concatenate_to_the_random_sequence(self, seed, sizes, big, at):
+        # a small take, then one that straddles the first refill; a zero and
+        # one take larger than a block somewhere among the drawn sizes
+        sizes = [5, DRAW_BLOCK] + sizes[:at] + [0, big] + sizes[at:]
+        stream, reference = DrawStream(random.Random(seed)), random.Random(seed)
+        served = [stream.take(k) for k in sizes]
+        assert [len(u) for u in served] == sizes
+        expected = np.array([reference.random() for _ in range(sum(sizes))])
+        assert np.concatenate(served).tobytes() == expected.tobytes()
 
 
 def rigged_state(nodes, config, sole_head_id=None):
@@ -221,7 +250,7 @@ class TestSimulateRound:
         config = SimConfig(n=2, protocol=ProtocolKind.LEACH, **homogeneous(1.0))
         nodes = make_deployment([(50.0, 80.0), (50.0, 100.0)])  # head, member
         state = rigged_state(nodes, config, sole_head_id=0)
-        metrics = simulate_round(state, 9, random.Random(0))
+        metrics = simulate_round(state, 9, DrawStream(random.Random(0)))
         assert metrics.round == 10
         assert metrics.head_count == 1
         assert metrics.packets_to_bs_round == 1
@@ -239,7 +268,7 @@ class TestSimulateRound:
         nodes = make_deployment([(50.0, 55.0 + 5.0 * i) for i in range(4)])
         state = rigged_state(nodes, config, sole_head_id=None)
         before = sum(nodes.energy.tolist())
-        metrics = simulate_round(state, 0, random.Random(0))
+        metrics = simulate_round(state, 0, DrawStream(random.Random(0)))
         assert metrics.head_count == 0
         assert metrics.packets_to_bs_round == 4
         expected_cost = sum(tx_energy(config, d) for d in nodes.d_bs.tolist())
@@ -252,7 +281,7 @@ class TestSimulateRound:
             [(50.0, 80.0), (50.0, 100.0), (60.0, 80.0)], energies=[1.0, 1e-9, 1.0]
         )
         state = rigged_state(nodes, config, sole_head_id=0)
-        metrics = simulate_round(state, 9, random.Random(0))
+        metrics = simulate_round(state, 9, DrawStream(random.Random(0)))
         assert state.alive.tolist() == [0, 2]
         assert state.energy[1] == 0.0
         assert metrics.alive_total == 2
@@ -274,10 +303,10 @@ class TestSimulateRound:
             [(50.0, 80.0), (50.0, 100.0), (60.0, 80.0)], energies=[1.0, 1e-9, 1.0]
         )
         state = rigged_state(nodes, config, sole_head_id=0)
-        simulate_round(state, 9, random.Random(0))
+        simulate_round(state, 9, DrawStream(random.Random(0)))
         assert 1 not in state.alive
         # next round: nobody eligible -> direct-to-bs fallback for survivors only
-        metrics = simulate_round(state, 10, random.Random(1))
+        metrics = simulate_round(state, 10, DrawStream(random.Random(1)))
         assert metrics.packets_to_bs_round == 2
         assert state.energy[1] == 0.0
         assert metrics.alive_total == 2
@@ -394,7 +423,7 @@ class TestSingleClusterClosedForm:
         nodes = make_deployment(coords)
         state = rigged_state(nodes, config, sole_head_id=0)
         before = sum(nodes.energy.tolist())
-        metrics = simulate_round(state, 9, random.Random(3))
+        metrics = simulate_round(state, 9, DrawStream(random.Random(3)))
         assert metrics.head_count == 1
 
         bits, e_elec, eps_fs, eps_mp, e_da = 4000, 5e-9, 10e-12, 0.0013e-12, 5e-9

@@ -5,10 +5,12 @@ import random
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from wsnsim.model import NodeTier, SimConfig, deploy, tier_counts
+from wsnsim.engine import DRAW_BLOCK
+from wsnsim.model import NodeTier, SimConfig, deploy, tier_counts, uniforms
 
 
 class TestHeterogeneityParams:
@@ -121,6 +123,22 @@ class TestTierCounts:
         n_normal, n_advanced, n_super = tier_counts(SimConfig(n=n, m=m, m0=m * frac))
         assert n_normal >= 0 and n_advanced >= 0 and n_super >= 0
         assert n_normal + n_advanced + n_super == n
+
+
+class TestUniforms:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        sizes=st.lists(st.integers(min_value=0, max_value=3 * DRAW_BLOCK), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_next_k_random_values(self, seed, sizes):
+        """Consecutive calls on one rng give the values k random() calls
+        give, to the last bit, and leave the rng in the same state."""
+        rng, reference = random.Random(seed), random.Random(seed)
+        for k in sizes:
+            expected = np.array([reference.random() for _ in range(k)], dtype=float)
+            assert uniforms(rng, k).tobytes() == expected.tobytes()
+            assert rng.getstate() == reference.getstate()
 
 
 def tiers_of(nodes):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wsnsim import protocols
-from wsnsim.engine import initial_state
+from wsnsim.engine import DrawStream, initial_state
 from wsnsim.model import NodeTier, ProtocolKind, SimConfig, deploy, weighted_probabilities
 from wsnsim.protocols import (
     _nearest_dense,
@@ -38,6 +38,10 @@ def deployed_network(n=40, seed=13):
 def state_for(protocol, nodes, **overrides):
     config = SimConfig(n=len(nodes.x), protocol=protocol, p_opt=P_OPT, **overrides)
     return initial_state(config, nodes)
+
+
+def epochs_of(state):
+    return [epoch for _, epoch in state.rotation]
 
 
 def thresholds_of(state, r):
@@ -94,19 +98,19 @@ class TestEligibilityFor:
 
     def test_leach_uses_uniform_epoch(self):
         state = state_for(ProtocolKind.LEACH, deployed_network())
-        assert state.epoch.tolist() == [10, 10, 10]
+        assert epochs_of(state) == [10, 10, 10]
 
     def test_tiered_epochs(self):
         state = state_for(ProtocolKind.SEP, deployed_network())
-        normal, advanced, super_ = state.epoch.tolist()
+        normal, advanced, super_ = epochs_of(state)
         assert normal == epoch_length(PROBS.p_normal) == 15
         assert advanced == 5
         assert super_ == 4
 
     def test_dbcp_same_epochs_as_sep(self):
         nodes = deployed_network()
-        dbcp = state_for(ProtocolKind.DBCP, nodes).epoch
-        assert dbcp.tolist() == state_for(ProtocolKind.SEP, nodes).epoch.tolist()
+        dbcp = state_for(ProtocolKind.DBCP, nodes)
+        assert epochs_of(dbcp) == epochs_of(state_for(ProtocolKind.SEP, nodes))
 
 
 def threshold_of(make_deployment, protocol, tier, d, r=0, **overrides):
@@ -159,8 +163,8 @@ class TestElectHeads:
     def test_deterministic(self, protocol):
         nodes = deployed_network()
         a, b = state_for(protocol, nodes), state_for(protocol, nodes)
-        heads_a = elect_heads(a, a.alive, 0, random.Random(42)).tolist()
-        heads_b = elect_heads(b, b.alive, 0, random.Random(42)).tolist()
+        heads_a = elect_heads(a, a.alive, 0, DrawStream(random.Random(42))).tolist()
+        heads_b = elect_heads(b, b.alive, 0, DrawStream(random.Random(42))).tolist()
         assert heads_a == heads_b == sorted(heads_a)
 
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
@@ -172,42 +176,42 @@ class TestElectHeads:
         nodes = deployed_network(n=60, seed=29)
         state = state_for(protocol, nodes)
         reference = ReferenceElection(protocol, nodes, random.Random(7))
-        rng = random.Random(7)
+        draws = DrawStream(random.Random(7))
         for r in range(40):
-            heads = elect_heads(state, state.alive, r, rng)
+            heads = elect_heads(state, state.alive, r, draws)
             assert heads.tolist() == reference.elect(range(60), r)
 
     def test_all_ineligible_yields_no_heads_but_consumes_draws(self):
         state = state_for(ProtocolKind.SEP, deployed_network(n=10, seed=3))
         state.eligible_from[:] = 10**9
-        rng = random.Random(5)
-        assert elect_heads(state, state.alive, 0, rng).tolist() == []
+        draws = DrawStream(random.Random(5))
+        assert elect_heads(state, state.alive, 0, draws).tolist() == []
         # one draw per alive node must have been consumed regardless
         reference = random.Random(5)
         for _ in range(10):
             reference.random()
-        assert rng.random() == reference.random()
+        assert draws.take(1)[0] == reference.random()
 
     def test_certain_election_at_epoch_end(self, make_deployment):
         # last round of the LEACH epoch: an eligible survivor has threshold 1
         state = state_for(ProtocolKind.LEACH, make_deployment([(0.0, 0.0), (0.0, 0.0)]))
         state.eligible_from[1] = 10**9
-        assert elect_heads(state, state.alive, 9, random.Random(0)).tolist() == [0]
+        assert elect_heads(state, state.alive, 9, DrawStream(random.Random(0))).tolist() == [0]
 
     def test_dead_nodes_never_elected_and_draw_nothing(self):
         nodes = deployed_network(n=12, seed=8)
         state = state_for(ProtocolKind.SEP, nodes)
         alive = np.array([i for i in range(12) if i != 4])
-        rng = random.Random(21)
-        heads = elect_heads(state, alive, 0, rng).tolist()
+        draws = DrawStream(random.Random(21))
+        heads = elect_heads(state, alive, 0, draws).tolist()
         reference = ReferenceElection(ProtocolKind.SEP, nodes, random.Random(21))
         assert heads == reference.elect(alive.tolist(), 0)
         assert 4 not in heads
-        assert rng.random() == reference.rng.random()  # 11 draws each
+        assert draws.take(1)[0] == reference.rng.random()  # 11 draws each
 
     def test_elected_nodes_marked_ineligible(self):
         state = state_for(ProtocolKind.SEP, deployed_network(n=50, seed=2))
-        heads = elect_heads(state, state.alive, 0, random.Random(1))
+        heads = elect_heads(state, state.alive, 0, DrawStream(random.Random(1)))
         assert len(heads)  # seed chosen so the round elects someone
         assert (state.eligible_from[heads] > 1).all()
 
@@ -356,7 +360,7 @@ class TestNearestHeadSearch:
         rng = random.Random(config.seed)
         nodes = deploy(config, rng)
         state = initial_state(config, nodes)
-        heads = elect_heads(state, state.alive, 0, rng)
+        heads = elect_heads(state, state.alive, 0, DrawStream(rng))
         members = np.setdiff1d(state.alive, heads)
         assert (len(members), len(heads)) == (9289, 711)
         args = nodes.x[members], nodes.y[members], nodes.x[heads], nodes.y[heads]
@@ -406,9 +410,9 @@ class TestProtocolDegeneracies:
         sequences = {}
         for protocol in (ProtocolKind.LEACH, ProtocolKind.SEP):
             state = state_for(protocol, nodes, **HOMOGENEOUS)
-            rng = random.Random(99)
+            draws = DrawStream(random.Random(99))
             sequences[protocol] = [
-                elect_heads(state, state.alive, r, rng).tolist() for r in range(60)
+                elect_heads(state, state.alive, r, draws).tolist() for r in range(60)
             ]
         assert sequences[ProtocolKind.LEACH] == sequences[ProtocolKind.SEP]
 
@@ -418,8 +422,8 @@ class TestProtocolDegeneracies:
         results = {}
         for protocol in (ProtocolKind.SEP, ProtocolKind.DBCP):
             state = state_for(protocol, nodes)
-            rng = random.Random(4)
+            draws = DrawStream(random.Random(4))
             results[protocol] = [
-                elect_heads(state, state.alive, r, rng).tolist() for r in range(30)
+                elect_heads(state, state.alive, r, draws).tolist() for r in range(30)
             ]
         assert results[ProtocolKind.SEP] == results[ProtocolKind.DBCP]
