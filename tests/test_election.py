@@ -5,6 +5,7 @@ Monte Carlo expectations (mean node-to-centre distance) were produced with a
 plain-stdlib estimator before the module existed and are frozen here.
 """
 
+import math
 import random
 
 import numpy as np
@@ -217,6 +218,16 @@ near_snap = st.builds(
 any_rate = st.floats(min_value=1e-300, max_value=1.0, exclude_max=True)
 
 
+def reference_pair(p):
+    """1/p, snapped to the nearest integer when within 1e-9 of it
+    (relative), and its ceiling, written out."""
+    inv = 1.0 / p
+    k = round(inv)
+    if k >= 1 and abs(inv - k) <= 1e-9 * k:
+        inv = float(k)
+    return inv, math.ceil(inv)
+
+
 class TestRotationPair:
     @given(p=st.one_of(exact_rates, near_snap, any_rate), r=st.integers(0, 10**7))
     @example(p=0.1, r=9)
@@ -227,6 +238,7 @@ class TestRotationPair:
         serve again, r - r % epoch + epoch, is the start of its next epoch."""
         config = SimConfig(n=1, p_opt=p, protocol=ProtocolKind.LEACH, m=0.0, m0=0.0, a=0.0, b=0.0)
         state = initial_state(config, deploy(config, random.Random(0)))
+        assert state.rotation == (reference_pair(p),) * len(NodeTier)
         epoch = epoch_length(p)
         for inv, e in state.rotation:
             assert _rotating_threshold(inv, e, r) == sep_threshold(p, r)

@@ -197,9 +197,9 @@ class TestPairTables:
         monkeypatch.setattr(engine, "PAIR_TABLE_MAX_NODES", 0)
         states.append(initial_state(config, nodes))
         assert states[1].pairs is None
-        rngs = [DrawStream(random.Random(seed)), DrawStream(random.Random(seed))]
+        streams = [DrawStream(random.Random(seed)), DrawStream(random.Random(seed))]
         for r in range(400):
-            a, b = (simulate_round(st, r, g) for st, g in zip(states, rngs))
+            a, b = (simulate_round(st, r, g) for st, g in zip(states, streams))
             assert a == b
         assert states[0].energy.tolist() == states[1].energy.tolist()
         for total in ("energy_dissipated", "member_distance_sum", "head_distance_sum"):
