@@ -4,18 +4,21 @@
 Exports the parent and the change commit with `git archive` into a work
 directory and runs `wsnbench/run.py --workload all --trace 0` in each export,
 in PAIRS pairs of SECONDS-second runs that alternate which side goes first,
-one benchmark seed per pair.  Then it runs one traced pass (`--trace 1`) and
-the Tier-1 suite on each side.
+one benchmark seed per pair.  Then it runs TRACED_PASSES traced passes
+(`--trace 1`) per side on the first TRACED_PASSES seeds, again alternating
+which side goes first, and the Tier-1 suite on each side.
 
     python3 scripts/bench_record.py --out BENCH_9.json --seeds 101
 
 The record holds, for every end-to-end metric of every workload, each side's
 values, median and quartiles and the number of pairs the change won (ties
-count for neither side); one traced per-layer table per side; the Tier-1
-wall time and summary line per side; the commits, their source digests, the
-core count and the load average around the runs.  Both sides run the
-benchmark code of their own commit; a record is meaningful only if the two
-agree.  Expect 22 benchmark runs of 1.5-2 minutes each plus two Tier-1 runs.
+count for neither side); each side's per-layer values of every traced pass
+and their median per metric, so that host load during one pass cannot skew
+the table, with `correct` true only if every pass was; the Tier-1 wall time
+and summary line per side; the commits, their source digests, the core count
+and the load average around the runs.  Both sides run the benchmark code of
+their own commit; a record is meaningful only if the two agree.  Expect 26
+benchmark runs of 1.5-2 minutes each plus two Tier-1 runs.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 PAIRS = 10  # the fewest that can show a win on 9 of 10 pairs
 SECONDS = 30.0  # each workload's budget, as BENCHMARK.json runs it
+TRACED_PASSES = 3  # per side; a single pass read unchanged layers 30-40% slower
 
 
 def git(*args: str) -> str:
@@ -91,6 +95,18 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def median_layers(passes: list[dict]) -> dict:
+    """One side's per-layer table from its traced passes (each the final
+    JSON line of a `--trace 1` run): each pass's metric values, the median
+    of every metric over the passes, and `correct` only if every pass was."""
+    values = [{k: v["value"] for k, v in t["metrics"].items()} for t in passes]
+    return {
+        "correct": all(t["correct"] for t in passes),
+        "metrics": {k: statistics.median(v[k] for v in values) for k in values[0]},
+        "passes": values,
+    }
+
+
 def summarize(runs: dict[str, list[dict]], declared: dict) -> dict:
     """Per workload and end-to-end metric: both sides' spread and the
     change's wins over the pairs, in the metric's better direction."""
@@ -137,7 +153,11 @@ def main() -> int:
             print(f"pair {k + 1}/{PAIRS} seed {seed} {side}: correct={result['correct']} "
                   f"replication.wall_s={result['metrics']['replication.wall_s']['value']:.3f}",
                   flush=True)
-    traced = {s: bench(trees[s], seeds[0], trace=1) for s in SIDES}
+    traced: dict[str, list[dict]] = {s: [] for s in SIDES}
+    for k, seed in enumerate(seeds[:TRACED_PASSES]):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            traced[side].append(bench(trees[side], seed, trace=1))
+            print(f"traced pass {k + 1}/{TRACED_PASSES} seed {seed} {side}", flush=True)
     tier1_runs = {s: tier1(trees[s]) for s in SIDES}
 
     record = {
@@ -156,11 +176,8 @@ def main() -> int:
         "correct": {s: [r["correct"] for r in runs[s]] for s in SIDES},
         "failed_units": {s: sum(r["failed"] for r in runs[s]) for s in SIDES},
         "end_to_end": summarize(runs, declared),
-        "per_layer": {
-            s: {"correct": t["correct"],
-                "metrics": {k: v["value"] for k, v in t["metrics"].items()}}
-            for s, t in traced.items()
-        },
+        "traced_seeds": seeds[:TRACED_PASSES],
+        "per_layer": {s: median_layers(passes) for s, passes in traced.items()},
         "tier1": tier1_runs,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

@@ -6,6 +6,10 @@ configuration, then sweeps each heterogeneity parameter around the defaults.
 Everything goes through the command line interface, so each output directory
 carries its own echoed config and can be reproduced standalone.
 
+Give a fresh --out each time: every command refuses an output directory that
+already holds files, so a second run into the same --out stops with exit
+code 2 at its first command and changes nothing.
+
 Roughly 10 minutes on one core for the full set; pass --quick for a small
 smoke version.
 """

@@ -265,8 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _prepare_out(path_text: str) -> Path:
+    """The output directory, made if missing.  One that already holds an
+    entry is refused: a batch never clears files another batch left, so
+    writing into it could mix the two."""
     out = Path(path_text)
     out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        raise ValueError(f"{out} is not empty; give --out a new or empty directory")
     probe = out / ".write_probe"
     probe.write_text("")
     probe.unlink()

@@ -85,12 +85,12 @@ class EngineState:
     run's running totals.
 
     `alive` holds the ids of the alive nodes in ascending order.  A node may
-    be elected again from round `eligible_from[i]` on.  `rate` and
-    `rotation` hold the election rate and rotation pair (1/p, epoch) of each
-    tier (NodeTier order); `factor` is each node's dbcp distance factor, 1
-    under leach and sep; `bs_cost` is each node's transmit cost to the base
-    station; `fuse_cost[k]` is what a head pays to receive k members and fuse
-    k+1 signals; `pairs` holds the PairTables of a network of at most
+    be elected again from round `eligible_from[i]` on.  `rotation` holds the
+    rotation pair (1/p, epoch) of each tier's election rate p (NodeTier
+    order); `factor` is each node's dbcp distance factor, 1 under leach and
+    sep; `bs_cost` is each node's transmit cost to the base station;
+    `fuse_cost[k]` is what a head pays to receive k members and fuse k+1
+    signals; `pairs` holds the PairTables of a network of at most
     PAIR_TABLE_MAX_NODES nodes, else None.  All but `energy`, `alive`,
     `eligible_from` and the totals are fixed at initial_state.
     """
@@ -105,7 +105,6 @@ class EngineState:
     eligible_from: np.ndarray
     bs_cost: np.ndarray
     fuse_cost: np.ndarray
-    rate: tuple[float, ...]
     rotation: tuple[tuple[float, int], ...]
     factor: np.ndarray
     pairs: PairTables | None
@@ -279,12 +278,12 @@ def simulate_round(state: EngineState, r: int, draws: DrawStream) -> RoundMetric
 
 def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
     """Engine state for a fresh deployment; the distance average, the
-    election rule's rates, rotation pairs and factors, the base-station
+    election rule's rotation pairs and factors, the base-station
     transmit costs, the heads' fuse costs and, for a small network, the pair
     tables are fixed here and never recomputed."""
     n = len(nodes.x)
     d_avg = _sequential_sum(nodes.d_bs) / n
-    rate, rotation, factor = election_rule(config, nodes.d_bs, d_avg)
+    rotation, factor = election_rule(config, nodes.d_bs, d_avg)
     k = np.arange(n)  # a head's member count
     return EngineState(
         config=config,
@@ -297,7 +296,6 @@ def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
         eligible_from=np.zeros(n, dtype=np.int64),
         bs_cost=tx_energy(config, nodes.d_bs),
         fuse_cost=k * rx_energy(config) + aggregation_energy(config, k + 1),
-        rate=rate,
         rotation=rotation,
         factor=factor,
         pairs=pair_tables(config, nodes.x, nodes.y) if n <= PAIR_TABLE_MAX_NODES else None,

@@ -7,10 +7,10 @@ DBCP:  SEP rates with the near-node distance factor applied on top.
 Thresholds follow the rotating-eligibility scheme: each node may serve once
 per epoch of ceil(1/p) rounds, with the per-round threshold ramping up to 1
 at the end of the epoch so that every eligible node has served exactly once
-by the time the epoch wraps.  election_rule fixes a run's tier rates,
-rotation pairs (1/p, epoch) and distance factors; elect_heads draws each
-round's heads against them and form_clusters attaches every other alive node
-to its nearest head.
+by the time the epoch wraps.  election_rule fixes a run's tier rotation
+pairs (1/p, epoch) and distance factors; elect_heads draws each round's
+heads against them and form_clusters attaches every other alive node to its
+nearest head.
 """
 
 from __future__ import annotations
@@ -22,41 +22,28 @@ import numpy as np
 from .model import NodeTier, ProtocolKind, SimConfig, weighted_probabilities
 
 
-def _inverse_rate(p: float) -> float:
+def rotation(p: float) -> tuple[float, int]:
+    """The rotation pair of election probability p: its inverse rate 1/p
+    and its epoch ceil(1/p), the number of rounds per eligibility epoch."""
     # 1/p, snapped to the nearest integer when the quotient is integral up to
     # float noise; keeps epoch lengths and the end-of-epoch threshold exact.
     inv = 1.0 / p
     nearest = round(inv)
     if nearest >= 1 and abs(inv - nearest) <= 1e-9 * nearest:
-        return float(nearest)
-    return inv
-
-
-def rotation(p: float) -> tuple[float, int]:
-    """The rotation pair of election probability p: its inverse rate 1/p
-    and its epoch ceil(1/p), the number of rounds per eligibility epoch."""
-    inv = _inverse_rate(p)
+        inv = float(nearest)
     return inv, math.ceil(inv)
 
 
-def epoch_length(p: float) -> int:
-    """Rounds per eligibility epoch for election probability p: ceil(1/p)."""
-    return rotation(p)[1]
-
-
-def _rotating_threshold(inv: float, epoch: int, r: int) -> float:
-    # the rotating threshold of the tier with rotation pair (inv, epoch)
-    return min(1.0, 1.0 / (inv - r % epoch))
-
-
-def sep_threshold(p: float, r: int) -> float:
-    """Rotating election threshold p / (1 - p*(r mod epoch)), clamped to 1.
+def sep_threshold(pair: tuple[float, int], r: int) -> float:
+    """Rotating election threshold p / (1 - p*(r mod epoch)), clamped to 1,
+    of the tier whose rotation pair is `pair` = (1/p, epoch).
 
     Evaluated as 1 / (1/p - (r mod epoch)), which is the same expression with
     one division fewer and is exact (== 1.0) at the end of an epoch whenever
     1/p is integral.
     """
-    return _rotating_threshold(*rotation(p), r)
+    inv, epoch = pair
+    return min(1.0, 1.0 / (inv - r % epoch))
 
 
 def distance_factor(d, d_avg: float):
@@ -81,8 +68,8 @@ def threshold(tier_thresholds, tier, factor, eligible) -> np.ndarray:
 
 def election_rule(
     config: SimConfig, d_bs, d_avg: float
-) -> tuple[tuple[float, ...], tuple[tuple[float, int], ...], np.ndarray]:
-    """The election rate and rotation pair of each tier (in NodeTier order)
+) -> tuple[tuple[tuple[float, int], ...], np.ndarray]:
+    """The rotation pair of each tier's election rate (in NodeTier order)
     and the distance factor of each node under config.protocol."""
     if config.protocol is ProtocolKind.LEACH:
         rate = (config.p_opt,) * len(NodeTier)
@@ -92,7 +79,7 @@ def election_rule(
         factor = distance_factor(d_bs, d_avg)
     else:
         factor = np.ones(len(d_bs))
-    return rate, tuple(map(rotation, rate)), factor
+    return tuple(map(rotation, rate)), factor
 
 
 def elect_heads(state, alive: np.ndarray, r: int, draws) -> np.ndarray:
@@ -110,7 +97,7 @@ def elect_heads(state, alive: np.ndarray, r: int, draws) -> np.ndarray:
     u = draws.take(len(alive))
     tier = state.tier[alive]
     t = threshold(
-        [_rotating_threshold(inv, epoch, r) for inv, epoch in state.rotation],
+        [sep_threshold(pair, r) for pair in state.rotation],
         tier,
         state.factor[alive],
         r >= state.eligible_from[alive],

@@ -24,7 +24,7 @@ import pytest
 from wsnsim import cli, engine, report
 from wsnsim.engine import DrawStream, initial_state, simulate_round
 from wsnsim.model import NodeTier, ProtocolKind, SimConfig, deploy, weighted_probabilities
-from wsnsim.protocols import distance_factor, elect_heads, sep_threshold, threshold
+from wsnsim.protocols import distance_factor, elect_heads, rotation, sep_threshold, threshold
 from wsnsim.radio import crossover_distance, rx_energy, tx_energy
 
 PROTOCOLS = (ProtocolKind.LEACH, ProtocolKind.SEP, ProtocolKind.DBCP)
@@ -114,7 +114,7 @@ def test_criterion_3_threshold_properties():
     for _ in range(100_000):
         p = 0.01 + 0.98 * u()
         r = int(10_000 * u())
-        ramp.append(sep_threshold(p, r))
+        ramp.append(sep_threshold(rotation(p), r))
         d_avg.append(1.0 + 99.0 * u())
         d_i.append(2.0 * d_avg[-1] * u())
     ramp, d_avg, d_i = (np.array(v) for v in (ramp, d_avg, d_i))
@@ -127,7 +127,7 @@ def test_criterion_3_threshold_properties():
     order_bad = int(np.count_nonzero(d > s))
     equality_bad = int(np.count_nonzero((d == s) != ((d_i >= d_avg) | (d_i == 0.0))))
     certain = all(
-        sep_threshold(1.0 / k, lap * k + (k - 1)) == 1.0
+        sep_threshold(rotation(1.0 / k), lap * k + (k - 1)) == 1.0
         for k in range(1, 51)
         for lap in range(4)
     )
@@ -150,7 +150,11 @@ def test_criterion_4_election_oracle():
     ok = True
     for protocol in PROTOCOLS:
         state = initial_state(replace(config, protocol=protocol), nodes)
-        tier_thresholds = [sep_threshold(p, 0) for p in state.rate]
+        if protocol is ProtocolKind.LEACH:
+            rates = (config.p_opt,) * len(NodeTier)
+        else:
+            rates = weighted_probabilities(config)
+        tier_thresholds = [sep_threshold(rotation(p), 0) for p in rates]
         thresholds = threshold(tier_thresholds, state.tier, state.factor, True).tolist()
         expected = sum(thresholds)
         # heads are independent Bernoulli draws in round 0, so the empirical

@@ -6,6 +6,7 @@ live in the acceptance tests.
 """
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -406,6 +407,57 @@ def test_out_of_range_seed_writes_nothing(tmp_path, capsys, command):
     assert code == 2
     assert "seed must fit in 64 unsigned bits, got -1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def digests(root):
+    """sha256 of every file under `root`, keyed by its relative path."""
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["run", "--seed", "1"], ["run", "--seed", "2"]),
+        (["compare", "--seeds", "1..2"], ["compare", "--seeds", "1..1"]),
+        (
+            ["sweep", "--param", "m", "--values", "0.1,0.2", "--seeds", "1..1"],
+            ["sweep", "--param", "m", "--values", "0.3", "--seeds", "1..1"],
+        ),
+    ],
+    ids=["run", "compare", "sweep"],
+)
+def test_non_empty_out_refused_before_any_run(tmp_path, capsys, monkeypatch, first, second):
+    """A second batch into the same --out would leave the first batch's
+    files next to its own (seed-2 series beside a one-seed summary), so it
+    exits 2 before running and leaves every file as the first call wrote it."""
+    out = tmp_path / "out"
+    tiny = ["--n", "10", "--max-rounds", "5", "--out", str(out)]
+    workers = [] if first[0] == "run" else ["--workers", "1"]
+    assert main([*first, *tiny, *workers]) == 0
+    before = digests(out)
+    capsys.readouterr()
+
+    def no_run(config):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    code = main([*second, *tiny, *workers])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {out} is not empty; give --out a new or empty directory\n"
+    )
+    assert digests(out) == before
+
+
+def test_empty_existing_out_accepted(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", "--n", "10", "--max-rounds", "5", "--out", str(out)]) == 0
+    assert (out / "summary.csv").exists()
 
 
 class TestArgumentParsing:

@@ -7,6 +7,7 @@ plain-stdlib estimator before the module existed and are frozen here.
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,20 +15,13 @@ from hypothesis import assume, example, given, strategies as st
 
 from wsnsim.engine import initial_state
 from wsnsim.model import NodeTier, ProtocolKind, SimConfig, deploy, weighted_probabilities
-from wsnsim.protocols import (
-    _rotating_threshold,
-    distance_factor,
-    elect_heads,
-    epoch_length,
-    sep_threshold,
-    threshold,
-)
+from wsnsim.protocols import distance_factor, elect_heads, rotation, sep_threshold, threshold
 
 
 def dbcp_threshold(p, r, eligible, d_i, d_avg):
     """The election threshold rule for one node of rate p, with the dbcp
     distance factor."""
-    return threshold([sep_threshold(p, r)], 0, distance_factor(d_i, d_avg), eligible)
+    return threshold([sep_threshold(rotation(p), r)], 0, distance_factor(d_i, d_avg), eligible)
 
 
 def _config_or_none(**fields):
@@ -108,53 +102,53 @@ class TestWeightedProbabilities:
 
 class TestEpochLength:
     def test_integral_rate(self):
-        assert epoch_length(0.1) == 10
-        assert epoch_length(0.5) == 2
+        assert rotation(0.1)[1] == 10
+        assert rotation(0.5)[1] == 2
 
     def test_fractional_rate_rounds_up(self):
-        assert epoch_length(0.3) == 4  # 1/0.3 = 3.33..
+        assert rotation(0.3)[1] == 4  # 1/0.3 = 3.33..
 
     def test_float_noise_snapped(self):
         # 1/(1/3) = 3.0000000000000004 in float; the epoch must still be 3
-        assert epoch_length(1.0 / 3.0) == 3
-        assert epoch_length(0.1 / 1.5) == 15  # default-config normal tier
+        assert rotation(1.0 / 3.0)[1] == 3
+        assert rotation(0.1 / 1.5)[1] == 15  # default-config normal tier
 
 
 class TestSepThreshold:
     def test_epoch_start(self):
-        assert sep_threshold(0.1, 0) == pytest.approx(0.1, rel=1e-12)
+        assert sep_threshold(rotation(0.1), 0) == pytest.approx(0.1, rel=1e-12)
 
     def test_epoch_end_exactly_one(self):
-        assert sep_threshold(0.1, 9) == 1.0
+        assert sep_threshold(rotation(0.1), 9) == 1.0
 
     def test_epoch_end_exact_for_non_dyadic_rate(self):
         # the naive p/(1 - p*(r%epoch)) form lands at 0.999..9 here
-        assert sep_threshold(1.0 / 3.0, 2) == 1.0
+        assert sep_threshold(rotation(1.0 / 3.0), 2) == 1.0
 
     def test_ineligible_is_zero(self):
-        assert threshold([sep_threshold(0.1, 5)], 0, 1.0, False) == 0.0
+        assert threshold([sep_threshold(rotation(0.1), 5)], 0, 1.0, False) == 0.0
 
     def test_epoch_wraps(self):
-        assert sep_threshold(0.1, 10) == sep_threshold(0.1, 0)
-        assert sep_threshold(0.1, 19) == 1.0
+        assert sep_threshold(rotation(0.1), 10) == sep_threshold(rotation(0.1), 0)
+        assert sep_threshold(rotation(0.1), 19) == 1.0
 
     def test_fractional_rate_clamped(self):
         # 1/0.3 = 3.33, epoch 4: position 3 overshoots and is clamped
-        assert sep_threshold(0.3, 3) == 1.0
-        assert sep_threshold(0.3, 2) == pytest.approx(0.75, rel=1e-12)
+        assert sep_threshold(rotation(0.3), 3) == 1.0
+        assert sep_threshold(rotation(0.3), 2) == pytest.approx(0.75, rel=1e-12)
 
     @given(
         p=st.floats(min_value=0.005, max_value=0.95),
         r=st.integers(min_value=0, max_value=10**6),
     )
     def test_bounded(self, p, r):
-        t = sep_threshold(p, r)
+        t = sep_threshold(rotation(p), r)
         assert 0.0 <= t <= 1.0
         assert t >= p * 0.999999  # ramp never drops below the base rate
 
     @given(k=st.integers(min_value=2, max_value=2000), lap=st.integers(min_value=0, max_value=3))
     def test_integral_inverse_rate_certain_at_epoch_end(self, k, lap):
-        assert sep_threshold(1.0 / k, k - 1 + lap * k) == 1.0
+        assert sep_threshold(rotation(1.0 / k), k - 1 + lap * k) == 1.0
 
 
 class TestDbcpThreshold:
@@ -169,7 +163,7 @@ class TestDbcpThreshold:
 
     def test_beyond_average_equals_sep(self):
         for r in range(12):
-            assert dbcp_threshold(0.1, r, True, 55.0, 40.0) == sep_threshold(0.1, r)
+            assert dbcp_threshold(0.1, r, True, 55.0, 40.0) == sep_threshold(rotation(0.1), r)
 
     @given(
         p=st.floats(min_value=0.01, max_value=0.9),
@@ -179,7 +173,7 @@ class TestDbcpThreshold:
     )
     def test_never_exceeds_sep(self, p, r, d_avg, ratio):
         d_i = ratio * d_avg
-        assert dbcp_threshold(p, r, True, d_i, d_avg) <= sep_threshold(p, r)
+        assert dbcp_threshold(p, r, True, d_i, d_avg) <= sep_threshold(rotation(p), r)
 
     @given(
         p=st.floats(min_value=0.01, max_value=0.9),
@@ -188,7 +182,7 @@ class TestDbcpThreshold:
         ratio=st.floats(min_value=1e-9, max_value=0.999999),
     )
     def test_strictly_below_sep_in_near_region(self, p, r, d_avg, ratio):
-        base = sep_threshold(p, r)
+        base = sep_threshold(rotation(p), r)
         assert dbcp_threshold(p, r, True, ratio * d_avg, d_avg) < base
 
     @given(
@@ -208,7 +202,7 @@ class TestDbcpThreshold:
 
 
 # rates whose inverse is an integer, and rates within a few 1e-9 of one,
-# where _inverse_rate snaps 1/p to the integer or leaves it
+# where rotation snaps 1/p to the integer or leaves it
 exact_rates = st.sampled_from([0.1, 0.2, 0.25, 1.0 / 3.0, 0.5, 1.0 / 7.0, 0.05, 0.01])
 near_snap = st.builds(
     lambda k, rel: 1.0 / (k * (1.0 + rel)),
@@ -233,16 +227,32 @@ class TestRotationPair:
     @example(p=0.1, r=9)
     @example(p=1.0 / (10 * (1.0 + 1e-9)), r=10**7 - 1)
     def test_stored_pair_gives_threshold_and_next_epoch(self, p, r):
-        """The (1/p, epoch) pair initial_state stores for each tier gives
-        sep_threshold(p, r), and the round a head elected in round r may
-        serve again, r - r % epoch + epoch, is the start of its next epoch."""
+        """The (1/p, epoch) pair initial_state stores for each tier gives the
+        written-out threshold min(1, 1/(1/p - r mod epoch)), and the round a
+        head elected in round r may serve again, r - r % epoch + epoch, is the
+        start of its next epoch."""
         config = SimConfig(n=1, p_opt=p, protocol=ProtocolKind.LEACH, m=0.0, m0=0.0, a=0.0, b=0.0)
         state = initial_state(config, deploy(config, random.Random(0)))
-        assert state.rotation == (reference_pair(p),) * len(NodeTier)
-        epoch = epoch_length(p)
-        for inv, e in state.rotation:
-            assert _rotating_threshold(inv, e, r) == sep_threshold(p, r)
+        inv, epoch = reference_pair(p)
+        assert state.rotation == ((inv, epoch),) * len(NodeTier)
+        for pair in state.rotation:
+            assert sep_threshold(pair, r) == min(1.0, 1.0 / (inv - r % epoch))
+            e = pair[1]
             assert r - r % e + e == (r // epoch + 1) * epoch
+
+    @given(config=valid_config, protocol=st.sampled_from(list(ProtocolKind)))
+    def test_stored_pairs_follow_each_protocols_rates(self, config, protocol):
+        """Under every protocol, initial_state stores the rotation pair of
+        each tier's rate: p_opt for every tier under leach, the weighted
+        tier rates under sep and dbcp."""
+        assume(config is not None)
+        config = replace(config, protocol=protocol)
+        if protocol is ProtocolKind.LEACH:
+            rates = (config.p_opt,) * len(NodeTier)
+        else:
+            rates = weighted_probabilities(config)
+        state = initial_state(config, deploy(config, random.Random(config.seed)))
+        assert state.rotation == tuple(map(rotation, rates))
 
 
 class AlwaysZero:

@@ -20,8 +20,8 @@ from wsnsim.protocols import (
     _nearest_dense,
     _nearest_grid,
     elect_heads,
-    epoch_length,
     form_clusters,
+    rotation,
     sep_threshold,
     threshold,
 )
@@ -45,8 +45,14 @@ def epochs_of(state):
 
 
 def thresholds_of(state, r):
-    """Every node's election threshold in round r, through the one rule."""
-    tier_thresholds = [sep_threshold(p, r) for p in state.rate]
+    """Every node's election threshold in round r, through the one rule, at
+    the tier rates of the state's config."""
+    config = state.config
+    if config.protocol is ProtocolKind.LEACH:
+        rates = (config.p_opt,) * len(NodeTier)
+    else:
+        rates = weighted_probabilities(config)
+    tier_thresholds = [sep_threshold(rotation(p), r) for p in rates]
     return threshold(tier_thresholds, state.tier, state.factor, r >= state.eligible_from)
 
 
@@ -103,7 +109,7 @@ class TestEligibilityFor:
     def test_tiered_epochs(self):
         state = state_for(ProtocolKind.SEP, deployed_network())
         normal, advanced, super_ = epochs_of(state)
-        assert normal == epoch_length(PROBS.p_normal) == 15
+        assert normal == rotation(PROBS.p_normal)[1] == 15
         assert advanced == 5
         assert super_ == 4
 
