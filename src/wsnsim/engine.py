@@ -17,18 +17,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Deployment, NodeTier, SimConfig, deploy, link_lengths, uniforms
-from .protocols import elect_heads, election_rule, form_clusters, squared_distances
+from .model import Deployment, NodeTier, SimConfig, WorkArrays, deploy, link_lengths, uniforms
+from .protocols import elect_heads, election_rule, form_clusters, squared_distances, stable_order
 from .radio import aggregation_energy, rx_energy, tx_energy
 
 # Largest network for which initial_state builds the PairTables.  On one core
 # of a 2-vCPU Xeon VM, over the first 400 rounds of default-config runs (100
-# rounds at n >= 500), the tables took 0.75, 1.6, 9.4, 38 and 150 ms to build
-# at n = 50, 100, 256, 500 and 1000 and saved 31, 49, 78, 97 and 520 us per
-# round, so they paid for themselves after about 20, 30, 120, 390 and 290
+# rounds at n >= 500), best of three runs on two passes, the tables took
+# 0.2-0.3, 0.4-0.6, 4.9-5.4, 25-28 and 87-98 ms to build at n = 50, 100, 256,
+# 500 and 1000 and saved 96-130, 96-110, 87-122, 40-50 and 230-370 us per
+# round, so they paid for themselves after about 2, 6, 60, 600 and 300
 # rounds.  They take 3 * n * n * 8 bytes: 1.5 MiB at 256, 23 MiB at 1000.  A
 # default n=100 run lasts 10000 rounds and an e0=0.05 one about 2400; at 256
-# nodes a run breaks even within about 120 rounds and holds 1.5 MiB of tables.
+# nodes a run breaks even within about 60 rounds and holds 1.5 MiB of tables.
 PAIR_TABLE_MAX_NODES = 256
 
 # Draws a DrawStream takes from its rng at a time.  On one core of a 2-vCPU
@@ -91,8 +92,10 @@ class EngineState:
     sep; `bs_cost` is each node's transmit cost to the base station;
     `fuse_cost[k]` is what a head pays to receive k members and fuse k+1
     signals; `pairs` holds the PairTables of a network of at most
-    PAIR_TABLE_MAX_NODES nodes, else None.  All but `energy`, `alive`,
-    `eligible_from` and the totals are fixed at initial_state.
+    PAIR_TABLE_MAX_NODES nodes, else None, and `work` the WorkArrays that
+    larger networks' rounds write their member-sized temporaries into, else
+    None.  All but `energy`, `alive`, `eligible_from`, `work` and the totals
+    are fixed at initial_state.
     """
 
     config: SimConfig
@@ -108,6 +111,7 @@ class EngineState:
     rotation: tuple[tuple[float, int], ...]
     factor: np.ndarray
     pairs: PairTables | None
+    work: WorkArrays | None
     d_avg: float
     alive_by_tier: list[int]
     packets_cum: int = 0
@@ -167,13 +171,21 @@ class RunResult:
     mean_head_to_bs_m: float
 
 
-def _sequential_sum(values: np.ndarray, start: float = 0.0) -> float:
+def _sequential_sum(
+    values: np.ndarray, start: float = 0.0, work: WorkArrays | None = None
+) -> float:
     """start + values[0] + values[1] + ..., added left to right as a Python
     loop would (0.0 + v == v, so a zero start is left out).  np.sum adds
     pairwise and builtin sum compensates (Python 3.12+), and either can
-    change the last bit."""
+    change the last bit.  With `work`, the running sum is taken in a work
+    array."""
     if not len(values):
         return float(start)
+    if work is not None:
+        sums = work.get("sums", len(values) + 1)
+        sums[0] = start
+        sums[1:] = values
+        return float(np.add.accumulate(sums, out=sums)[-1])
     if start:
         values = values.copy()
         values[0] += start  # start + values[0]: addition commutes exactly
@@ -208,25 +220,37 @@ def transmission_costs(
     base station, all in the Ledger's order (one stable sort on the head
     index).  Without heads (`head_of` None) every node of `members` pays one
     transmission to the base station.  Member links and their costs come
-    from the run's PairTables if it has them, else they are measured here.
+    from the run's PairTables if it has them.  Otherwise they are measured
+    here, in the run's work arrays, and the sort's keys are narrowed to the
+    smallest type that holds a head index (stable_order).
     """
     if head_of is None:
         return Ledger(members, state.bs_cost[members], np.empty(0))
-    head_ids = heads[head_of]
-    if state.pairs is None:
-        links = link_lengths(
-            state.x[members] - state.x[head_ids], state.y[members] - state.y[head_ids]
-        )
-        member_costs = tx_energy(state.config, links)
-    else:
-        at = members * len(state.x) + head_ids
-        links, member_costs = state.pairs.link.take(at), state.pairs.tx.take(at)
     n_members = np.bincount(head_of, minlength=len(heads))
     head_costs = state.fuse_cost[n_members] + state.bs_cost[heads]
     # member j keyed by head_of[j], head k by k; stable keeps members first
-    order = np.concatenate((head_of, np.arange(len(heads)))).argsort(kind="stable")
-    ids = np.concatenate((members, heads))[order]
-    costs = np.concatenate((member_costs, head_costs))[order]
+    head_keys = np.arange(len(heads))
+    work = state.work
+    if work is None:
+        at = members * len(state.x) + heads[head_of]
+        links, member_costs = state.pairs.link.take(at), state.pairs.tx.take(at)
+        order = np.concatenate((head_of, head_keys)).argsort(kind="stable")
+        ids = np.concatenate((members, heads))[order]
+        costs = np.concatenate((member_costs, head_costs))[order]
+        return Ledger(ids, costs, links[order[order < len(members)]])
+    k = len(members) + len(heads)
+    head_ids = work.take("head_ids", heads, head_of)
+    dx = work.take("dx", state.x, members)
+    dx -= work.take("tmp", state.x, head_ids)
+    dy = work.take("dy", state.y, members)
+    dy -= work.take("tmp", state.y, head_ids)
+    links = link_lengths(dx, dy, work)
+    member_costs = tx_energy(state.config, links)
+    order = stable_order(
+        np.concatenate((head_of, head_keys), out=work.get("key", k, np.intp)), len(heads)
+    )
+    ids = np.concatenate((members, heads), out=work.get("ids", k, np.intp))[order]
+    costs = np.concatenate((member_costs, head_costs), out=work.get("costs", k))[order]
     return Ledger(ids, costs, links[order[order < len(members)]])
 
 
@@ -237,18 +261,23 @@ def simulate_round(state: EngineState, r: int, draws: DrawStream) -> RoundMetric
     heads = elect_heads(state, alive, r, draws)
     pairs = state.pairs
     members, head_of = form_clusters(
-        alive, heads, state.x, state.y, None if pairs is None else pairs.d2
+        alive, heads, state.x, state.y, None if pairs is None else pairs.d2, state.work
     )
     ledger = transmission_costs(state, heads, members, head_of)
 
     # a node that cannot cover its cost still acts, then dies with 0 J left;
     # the ledger charges it only what it had
-    ids = ledger.ids
-    energy = state.energy[ids]
-    spent = np.minimum(ledger.costs, energy)
-    left = energy - spent
+    ids, work = ledger.ids, state.work
+    if work is None:
+        energy = state.energy[ids]
+        spent = np.minimum(ledger.costs, energy)
+        left = energy - spent
+    else:
+        energy = work.take("energy", state.energy, ids)
+        spent = np.minimum(ledger.costs, energy, out=work.get("spent", len(ids)))
+        left = np.subtract(energy, spent, out=energy)
     state.energy[ids] = left
-    state.energy_dissipated = _sequential_sum(spent, state.energy_dissipated)
+    state.energy_dissipated = _sequential_sum(spent, state.energy_dissipated, work)
     if np.count_nonzero(left) < len(left):
         # every alive node was charged, and only the dead hold 0 J
         state.alive = alive[state.energy[alive] > 0.0]
@@ -258,7 +287,7 @@ def simulate_round(state: EngineState, r: int, draws: DrawStream) -> RoundMetric
 
     packets = len(heads) or len(alive)
     state.packets_cum += packets
-    state.member_distance_sum += _sequential_sum(ledger.links)
+    state.member_distance_sum += _sequential_sum(ledger.links, work=work)
     state.member_count += len(ledger.links)
     state.head_distance_sum += _sequential_sum(state.d_bs[heads])
     state.head_count_total += len(heads)
@@ -272,7 +301,7 @@ def simulate_round(state: EngineState, r: int, draws: DrawStream) -> RoundMetric
         state.packets_cum,
         # dead nodes hold exactly 0.0, so summing every node adds nothing
         # to the alive nodes' sum in ascending id
-        _sequential_sum(state.energy),
+        _sequential_sum(state.energy, work=work),
     )
 
 
@@ -285,6 +314,7 @@ def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
     d_avg = _sequential_sum(nodes.d_bs) / n
     rotation, factor = election_rule(config, nodes.d_bs, d_avg)
     k = np.arange(n)  # a head's member count
+    pairs = pair_tables(config, nodes.x, nodes.y) if n <= PAIR_TABLE_MAX_NODES else None
     return EngineState(
         config=config,
         x=nodes.x,
@@ -298,7 +328,8 @@ def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
         fuse_cost=k * rx_energy(config) + aggregation_energy(config, k + 1),
         rotation=rotation,
         factor=factor,
-        pairs=pair_tables(config, nodes.x, nodes.y) if n <= PAIR_TABLE_MAX_NODES else None,
+        pairs=pairs,
+        work=WorkArrays() if pairs is None else None,
         d_avg=d_avg,
         alive_by_tier=np.bincount(nodes.tier, minlength=len(NodeTier)).tolist(),
     )

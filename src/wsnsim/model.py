@@ -166,10 +166,121 @@ def weighted_probabilities(config: SimConfig) -> TierProbabilities:
     return probs
 
 
-def link_lengths(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Link lengths for 1-D arrays of coordinate differences, by math.hypot,
-    which np.hypot does not match in the last bit."""
-    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
+class WorkArrays:
+    """Named arrays that a run reuses from round to round, so that a large
+    round writes into memory it already holds instead of allocating, freeing
+    and faulting in its temporaries again.  get(name, k, dtype) returns the
+    first k entries of the array `name`, reallocated with a quarter to spare
+    only when k outgrows it or the dtype changes.  What a view holds stays
+    until the name is used again."""
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, k: int, dtype=float) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None or len(a) < k or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(k + k // 4, dtype)
+        return a[:k]
+
+    def take(self, name: str, a: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """a[indices] for in-range indices, written into the work array
+        `name`.  np.take's default mode copies `out` to check the indices
+        first; "wrap" writes in place and, for in-range indices, the same
+        values."""
+        return np.take(a, indices, out=self.get(name, len(indices), a.dtype), mode="wrap")
+
+    def ramp(self, k: int) -> np.ndarray:
+        """np.arange(k), kept from call to call."""
+        r = self._arrays.get("ramp")
+        if r is None or len(r) < k:
+            r = self._arrays["ramp"] = np.arange(k + k // 4)
+        return r[:k]
+
+
+# Dekker's splitter 2**27 + 1, and the range of squares within which every
+# leg of link_lengths is split and squared exactly: legs from about 2**-450
+# (a square's low half stays clear of the subnormals below 2**-1022) to
+# about 2**450 (the splitter's product and the sum of two squares stay
+# finite).
+_SPLIT = 134217729.0
+_SQUARE_MIN, _SQUARE_MAX = 2.0**-900, 2.0**900
+
+
+def _exact_square(x, p, e, high, low) -> None:
+    """Write x*x as p + e exactly, p = fl(x*x), by Dekker's split product,
+    for every x whose square lies in [_SQUARE_MIN, _SQUARE_MAX]; `high` and
+    `low` are scratch."""
+    np.multiply(x, _SPLIT, out=high)
+    np.subtract(high, x, out=low)
+    high -= low
+    np.subtract(x, high, out=low)  # x == high + low, each half 26 bits wide
+    np.multiply(x, x, out=p)
+    np.multiply(high, high, out=e)
+    e -= p
+    high += high
+    high *= low
+    e += high
+    low *= low
+    e += low
+
+
+def link_lengths(dx, dy, work: WorkArrays | None = None) -> np.ndarray:
+    """Link lengths for 1-D arrays of coordinate differences, each equal
+    bit for bit to math.hypot(dx, dy), which np.hypot does not match in the
+    last bit.
+
+    Each square is taken exactly as a double-double (Dekker), the two are
+    added with an exact two-sum, and the square root h of the high part is
+    corrected once by (S - h*h) / (2h) (Borges), with the residual S - h*h
+    computed exactly.  The corrected length is kept only when moving the
+    correction by +-h * 2**-62 (between 1/1024 and 1/512 of an ulp) leaves
+    it rounding to the same double: then the true length lies clear of
+    every rounding midpoint and h plus the correction is the correctly
+    rounded length.  Entries near a midpoint, and those with a leg outside
+    the exact range (zero, subnormal, huge, infinite or NaN), are measured
+    by math.hypot one by one; on a field of random nodes about 0.3% are.
+
+    With `work`, the result and every temporary are work arrays ("link"
+    and scratch names), so the result is valid until the next call with
+    the same `work`; without it, all are fresh.
+    """
+    dx = np.asarray(dx, dtype=float)
+    dy = np.asarray(dy, dtype=float)
+    get = (work or WorkArrays()).get
+    a, a_low, b, b_low, s, high, low = (
+        get(name, len(dx)) for name in ("ll_a", "ll_al", "ll_b", "ll_bl", "ll_s", "ll_h", "ll_l")
+    )
+    with np.errstate(all="ignore"):  # entries out of range are redone below
+        _exact_square(dx, a, a_low, high, low)
+        _exact_square(dy, b, b_low, high, low)
+        exact = np.minimum(a, b) >= _SQUARE_MIN
+        np.add(a, b, out=s)
+        exact &= s <= _SQUARE_MAX
+        np.subtract(s, a, out=high)  # two-sum: s + (a - ...) + (b - high) == a + b
+        np.subtract(s, high, out=low)
+        a -= low
+        b -= high
+        a += b
+        a_low += b_low
+        a_low += a  # dx*dx + dy*dy == s + a_low, up to the last bits of a_low
+        h = np.sqrt(s, out=b)
+        _exact_square(h, a, b_low, high, low)
+        s -= a  # exact: h*h lies within an ulp of s
+        s -= b_low
+        s += a_low
+        np.add(h, h, out=a)
+        s /= a  # the correction (S - h*h) / (2h)
+        tol = np.multiply(h, 2.0**-62, out=a_low)
+        length = np.add(s, tol, out=get("link", len(dx)))
+        length += h
+        s -= tol
+        s += h
+        exact &= length == s
+    redo = np.flatnonzero(~exact)
+    if redo.size:
+        length[redo] = list(map(math.hypot, dx[redo].tolist(), dy[redo].tolist()))
+    return length
 
 
 def uniforms(rng: random.Random, k: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .model import NodeTier, ProtocolKind, SimConfig, weighted_probabilities
+from .model import NodeTier, ProtocolKind, SimConfig, WorkArrays, weighted_probabilities
 
 
 def rotation(p: float) -> tuple[float, int]:
@@ -127,8 +127,20 @@ GRID_MIN_PAIRS = 50_000
 # and 0, 50, 240 and 720 minor page faults, where one flat pass over all
 # members took 6.6 ms and 2085 faults.  Timed in turn with a fixed
 # allocation-free loop, 1024 to 4096 ran alike, 512 took 15% longer and 256
-# 40%.  A round of at most one block (n=1000) is scored in one pass.
+# 40%.  With a run's work arrays no block size faults once they are sized;
+# interleaved over 60 calls, 512, 1024, 2048 and 4096 took at best 4.7,
+# 4.1, 4.1 and 4.8 ms.  A round of at most one block (n=1000) is scored in
+# one pass.
 GRID_BLOCK_MEMBERS = 1024
+
+
+def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """keys.argsort(kind="stable") for non-negative integer keys below
+    `bound`.  The keys are sorted as the narrowest unsigned type that holds
+    `bound`, which numpy radix-sorts up to 16 bits where it merge-sorts
+    int64; a stable sort's permutation is fixed by the keys' order alone, so
+    the result is the same."""
+    return keys.astype(np.min_scalar_type(bound), copy=False).argsort(kind="stable")
 
 
 def squared_distances(ax, ay, bx, by) -> np.ndarray:
@@ -146,7 +158,7 @@ def _nearest_dense(mx, my, hx, hy) -> np.ndarray:
     return squared_distances(mx, my, hx, hy).argmin(axis=1)
 
 
-def _nearest_grid(mx, my, hx, hy) -> np.ndarray:
+def _nearest_grid(mx, my, hx, hy, work: WorkArrays | None = None) -> np.ndarray:
     """_nearest_dense's result, bit for bit, without the full matrix.
 
     Heads are bucketed into square cells of about two heads each over their
@@ -162,7 +174,9 @@ def _nearest_grid(mx, my, hx, hy) -> np.ndarray:
 
     The heads are bucketed, and each cell's candidates listed, once per
     call; the members are then scored GRID_BLOCK_MEMBERS at a time, so no
-    temporary grows with the member count.
+    temporary grows with the member count.  A block's candidate-length
+    arrays are work arrays: the run's `work`, which keeps them mapped from
+    round to round, or fresh ones.
     """
     n_heads = len(hx)
     x0, y0 = hx.min(), hy.min()
@@ -189,7 +203,7 @@ def _nearest_grid(mx, my, hx, hy) -> np.ndarray:
 
     hcol, hrow = cell_of(hx, x0, nx), cell_of(hy, y0, ny)
     head_cell = hrow * nx + hcol
-    by_cell = np.argsort(head_cell, kind="stable")  # ascending index within a cell
+    by_cell = stable_order(head_cell, nx * ny)  # ascending index within a cell
     start = np.zeros(nx * ny + 1, dtype=np.intp)
     np.cumsum(np.bincount(head_cell, minlength=nx * ny), out=start[1:])
 
@@ -210,6 +224,7 @@ def _nearest_grid(mx, my, hx, hy) -> np.ndarray:
     left, right = beyond(hx, hcol, nx)
     down, up = beyond(hy, hrow, ny)
 
+    work = work or WorkArrays()
     nearest = np.empty(len(mx), dtype=np.intp)
     for lead in range(0, len(mx), GRID_BLOCK_MEMBERS):
         block = slice(lead, lead + GRID_BLOCK_MEMBERS)
@@ -218,29 +233,29 @@ def _nearest_grid(mx, my, hx, hy) -> np.ndarray:
         cell = mrow * nx + mcol
         per_member = count[cell]
         seg = np.cumsum(per_member) - per_member
-        at = np.repeat(first[cell] - seg, per_member)
-        at += np.arange(len(at))
-        # squared_distances' expression, squared in place so the block holds
-        # at most four candidate-length arrays.  Calling an in-place
-        # squared_distances on the gathered candidates instead took 13% longer
-        # over nine n=10000 rounds (median of 30 interleaved passes), faulted
-        # 450-600 pages a call, not 160-430, and peaked at 1.5-1.7 MiB of
-        # traced memory, not 1.0-1.1
-        d2 = np.repeat(bx, per_member)
-        d2 -= near_x[at]
+        total = int(seg[-1] + per_member[-1])
+        scored = np.flatnonzero(per_member)
+        # owner[c], the member whose candidate c is, repeated in the
+        # narrowest type that holds a member index so that this one
+        # temporary of the block stays small
+        owner = work.get("grid_owner", total, np.intp)
+        owner[...] = np.repeat(np.arange(len(bx), dtype=np.min_scalar_type(len(bx))), per_member)
+        at = work.take("grid_at", first[cell] - seg, owner)  # candidate c's place in near
+        at += work.ramp(total)
+        # squared_distances' expression, the same operations in place
+        d2 = work.take("grid_d2", bx, owner)
+        d2 -= work.take("grid_tmp", near_x, at)
         d2 *= d2
-        dy = np.repeat(by, per_member)
-        dy -= near_y[at]
+        dy = work.take("grid_dy", by, owner)
+        dy -= work.take("grid_tmp", near_y, at)
         dy *= dy
         d2 += dy
-        del dy
 
-        scored = per_member > 0
         seg = seg[scored]
         best = np.full(len(bx), np.inf)
         best[scored] = np.minimum.reduceat(d2, seg)
-        cand = near[at]
-        cand[d2 != np.repeat(best, per_member)] = n_heads
+        cand = work.take("grid_cand", near, at)
+        np.putmask(cand, d2 != work.take("grid_tmp", best, owner), n_heads)
         out = nearest[block]  # a view: writes land in nearest
         out[scored] = np.minimum.reduceat(cand, seg)
 
@@ -261,6 +276,7 @@ def form_clusters(
     x: np.ndarray,
     y: np.ndarray,
     d2: np.ndarray | None = None,
+    work: WorkArrays | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Attach every alive non-head node to its nearest head by squared
     Euclidean distance.  `alive` and `heads` hold ascending node ids and `x`,
@@ -273,7 +289,8 @@ def form_clusters(
     run; the nearest head is then the first minimum of its member x head
     block.  Otherwise rounds with fewer than GRID_MIN_PAIRS member x head
     pairs compare every member with every head (_nearest_dense); larger ones
-    search a cell grid (_nearest_grid) that gives the same assignment.
+    search a cell grid (_nearest_grid) that gives the same assignment, in
+    the run's `work` arrays if given.
     """
     if not len(heads):
         return alive, None
@@ -282,9 +299,7 @@ def form_clusters(
     members = alive[~is_head[alive]]
     if d2 is not None:
         return members, d2.take(heads, axis=1).take(members, axis=0).argmin(axis=1)
-    search = (
-        _nearest_grid
-        if len(members) * len(heads) >= GRID_MIN_PAIRS
-        else _nearest_dense
-    )
-    return members, search(x[members], y[members], x[heads], y[heads])
+    mx, my, hx, hy = x[members], y[members], x[heads], y[heads]
+    if len(members) * len(heads) >= GRID_MIN_PAIRS:
+        return members, _nearest_grid(mx, my, hx, hy, work)
+    return members, _nearest_dense(mx, my, hx, hy)

@@ -8,13 +8,18 @@ station pays 2.0e-5 (rx) + 4.0e-5 (fusing two signals) + 5.6e-5 (tx)
 """
 
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wsnsim
 from wsnsim import engine
 from wsnsim.engine import DRAW_BLOCK, DrawStream, initial_state, simulate_round, transmission_costs
 from wsnsim.model import ProtocolKind, SimConfig, deploy
@@ -204,6 +209,41 @@ class TestPairTables:
         assert states[0].energy.tolist() == states[1].energy.tolist()
         for total in ("energy_dissipated", "member_distance_sum", "head_distance_sum"):
             assert getattr(states[0], total) == getattr(states[1], total)
+
+
+# A fresh process's n=10000 run: three rounds size the run's work arrays,
+# then the minor page faults of five more rounds are counted one by one.
+FAULT_PROBE = """
+import random, resource, statistics
+from wsnsim.engine import DrawStream, initial_state, simulate_round
+from wsnsim.model import SimConfig, deploy
+config = SimConfig(n=10000, seed=3)
+rng = random.Random(config.seed)
+state = initial_state(config, deploy(config, rng))
+draws = DrawStream(rng)
+faults = []
+for r in range(8):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    simulate_round(state, r, draws)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(statistics.median(faults[3:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc's page faults")
+def test_large_round_keeps_its_memory_mapped():
+    """A warmed-up n=10000 round writes into work arrays its run already
+    holds.  When each round allocated and freed its temporaries, glibc gave
+    the pages back between rounds and a round took 300-450 minor faults."""
+    src = str(Path(wsnsim.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) < 50
 
 
 class TestDrawStream:

@@ -3,14 +3,15 @@
 import math
 import random
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wsnsim.engine import DRAW_BLOCK
-from wsnsim.model import NodeTier, SimConfig, deploy, tier_counts, uniforms
+from wsnsim.model import NodeTier, SimConfig, WorkArrays, deploy, link_lengths, tier_counts, uniforms
 
 
 class TestHeterogeneityParams:
@@ -141,6 +142,78 @@ class TestUniforms:
             assert rng.getstate() == reference.getstate()
 
 
+def hypot_loop(dx, dy):
+    return [math.hypot(a, b) for a, b in zip(dx, dy)]
+
+
+def measured(dx, dy):
+    """link_lengths of the two lists, with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return link_lengths(np.array(dx, dtype=float), np.array(dy, dtype=float))
+
+
+# legs of every magnitude, subnormal to near overflow, of either sign; the
+# sum of two squares may itself overflow (math.hypot then gives inf)
+LEGS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-200.0, max_value=200.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**-450, 2.0**450, 1.7e308]),
+)
+
+# exact Pythagorean triples (a, b, c): hypot(a, b) == c
+TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29), (119, 120, 169)]
+
+
+class TestLinkLengths:
+    @given(pairs=st.lists(st.tuples(LEGS, LEGS), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_math_hypot_bit_for_bit(self, pairs):
+        dx = [a for a, _ in pairs]
+        dy = [b for _, b in pairs]
+        assert measured(dx, dy).tolist() == hypot_loop(dx, dy)
+
+    @given(legs=st.lists(LEGS, max_size=40))
+    @settings(deadline=None)
+    def test_equal_legs(self, legs):
+        minus = [-v for v in legs]
+        assert measured(legs, minus).tolist() == hypot_loop(legs, minus)
+
+    @given(scale=st.integers(min_value=-1074, max_value=1013))
+    @settings(deadline=None)
+    def test_pythagorean_triples_scaled_by_powers_of_two(self, scale):
+        dx = [math.ldexp(a, scale) for a, _, _ in TRIPLES]
+        dy = [-math.ldexp(b, scale) for _, b, _ in TRIPLES]
+        assert measured(dx + dy, dy + dx).tolist() == hypot_loop(dx + dy, dy + dx)
+
+    def test_zero_length_is_positive_zero(self):
+        lengths = measured([0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0])
+        assert [math.copysign(1.0, v) for v in lengths.tolist()] == [1.0] * 4
+
+    def test_field_links_rarely_fall_back(self, monkeypatch):
+        """On 1e5 field-sized pairs, math.hypot runs only on the few entries
+        near a rounding midpoint, not once per link."""
+        rng = np.random.default_rng(7)
+        dx, dy = rng.uniform(-100.0, 100.0, (2, 100_000))
+        expected = hypot_loop(dx.tolist(), dy.tolist())
+        calls, hypot = [], math.hypot
+
+        def counted(a, b):
+            calls.append(1)
+            return hypot(a, b)
+
+        monkeypatch.setattr(math, "hypot", counted)
+        assert link_lengths(dx, dy).tolist() == expected
+        assert len(calls) < 1000
+
+    def test_work_arrays_give_the_same_lengths(self):
+        rng = np.random.default_rng(8)
+        work = WorkArrays()
+        for size in (10, 1000, 30, 5000):
+            dx, dy = rng.uniform(-100.0, 100.0, (2, size))
+            assert link_lengths(dx, dy, work).tolist() == link_lengths(dx, dy).tolist()
+
+
 def tiers_of(nodes):
     return [list(NodeTier)[t] for t in nodes.tier.tolist()]
 
@@ -165,6 +238,13 @@ class TestDeploy:
         bs=st.one_of(st.none(), st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
     )
+    # legs whose squares leave link_lengths' exact range (math.hypot measures
+    # those) and fields that straddle either end of it
+    @example(n=50, width=1e-300, height=3e-300, bs=None, seed=1)
+    @example(n=50, width=1e300, height=2e300, bs=None, seed=2)
+    @example(n=50, width=1e300, height=1e-300, bs=(0.0, 0.0), seed=3)
+    @example(n=200, width=1e-133, height=1e-133, bs=None, seed=4)
+    @example(n=200, width=1e136, height=1e136, bs=None, seed=5)
     def test_matches_per_node_uniform_loop(self, n, width, height, bs, seed):
         bs_x, bs_y = bs or (None, None)
         config = SimConfig(n=n, field_width=width, field_height=height,

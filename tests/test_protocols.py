@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wsnsim import protocols
 from wsnsim.engine import DrawStream, initial_state
-from wsnsim.model import NodeTier, ProtocolKind, SimConfig, deploy, weighted_probabilities
+from wsnsim.model import NodeTier, ProtocolKind, SimConfig, WorkArrays, deploy, weighted_probabilities
 from wsnsim.protocols import (
     _nearest_dense,
     _nearest_grid,
@@ -23,6 +23,7 @@ from wsnsim.protocols import (
     form_clusters,
     rotation,
     sep_threshold,
+    stable_order,
     threshold,
 )
 
@@ -324,6 +325,24 @@ def head_member_layouts(draw):
     return coords(member, n_members), coords(member, n_members), hx, hy
 
 
+SHARED_WORK = WorkArrays()
+
+
+class TestStableOrder:
+    @pytest.mark.parametrize("bound", [255, 256, 65535, 65536])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_int64_stable_argsort(self, bound, data):
+        """At the uint8, uint16 and uint32 edges of the key type, with the
+        bound itself among the keys and many ties."""
+        keys = data.draw(st.lists(
+            st.one_of(st.integers(0, bound), st.sampled_from([0, 1, bound - 1, bound])),
+            max_size=300,
+        ))
+        keys = np.array(keys, dtype=np.int64)
+        assert stable_order(keys, bound).tolist() == keys.argsort(kind="stable").tolist()
+
+
 class TestNearestHeadSearch:
     """_nearest_grid must return _nearest_dense's indices exactly, ties
     included, at any size; form_clusters picks between them by pair count."""
@@ -341,11 +360,14 @@ class TestNearestHeadSearch:
     )
     @settings(max_examples=300, deadline=None)
     def test_grid_matches_dense(self, layout, block):
+        """Also with one set of work arrays reused, and regrown, across
+        every layout, as a run reuses them across its rounds."""
         mx, my, hx, hy = layout
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(protocols, "GRID_BLOCK_MEMBERS", block)
             grid = _nearest_grid(mx, my, hx, hy)
-        assert grid.tolist() == _nearest_dense(mx, my, hx, hy).tolist()
+            reused = _nearest_grid(mx, my, hx, hy, SHARED_WORK)
+        assert grid.tolist() == reused.tolist() == _nearest_dense(mx, my, hx, hy).tolist()
 
     def test_last_block_partly_filled(self, monkeypatch):
         """1000 members in blocks of 7 end on a block of 6; on a small
