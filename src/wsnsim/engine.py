@@ -178,7 +178,8 @@ def _sequential_sum(
     loop would (0.0 + v == v, so a zero start is left out).  np.sum adds
     pairwise and builtin sum compensates (Python 3.12+), and either can
     change the last bit.  With `work`, the running sum is taken in a work
-    array."""
+    array with start as its first term: 0.0 + v == v for every v but -0.0,
+    which no engine sum holds (costs, links and energies are +0.0 or more)."""
     if not len(values):
         return float(start)
     if work is not None:
