@@ -135,11 +135,11 @@ GRID_BLOCK_MEMBERS = 1024
 
 
 def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
-    """keys.argsort(kind="stable") for non-negative integer keys below
-    `bound`.  The keys are sorted as the narrowest unsigned type that holds
-    `bound`, which numpy radix-sorts up to 16 bits where it merge-sorts
-    int64; a stable sort's permutation is fixed by the keys' order alone, so
-    the result is the same."""
+    """keys.argsort(kind="stable") for non-negative integer keys no larger
+    than `bound`.  The keys are sorted as the narrowest unsigned type that
+    holds `bound`, which numpy radix-sorts up to 16 bits where it
+    merge-sorts int64; a stable sort's permutation is fixed by the keys'
+    order alone, so the result is the same."""
     return keys.astype(np.min_scalar_type(bound), copy=False).argsort(kind="stable")
 
 
