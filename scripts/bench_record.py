@@ -15,10 +15,11 @@ values, median and quartiles and the number of pairs the change won (ties
 count for neither side); each side's per-layer values of every traced pass
 and their median per metric, so that host load during one pass cannot skew
 the table, with `correct` true only if every pass was; the Tier-1 wall time
-and summary line per side; the commits, their source digests, the core count
-and the load average around the runs.  Both sides run the benchmark code of
-their own commit; a record is meaningful only if the two agree.  Expect 26
-benchmark runs of 1.5-2 minutes each plus two Tier-1 runs.
+and summary line per side; the commits, their source digests, the core count,
+the C library (`platform.libc_ver()`) and the load average around the runs.
+Both sides run the benchmark code of their own commit; a record is
+meaningful only if the two agree.  Expect 26 benchmark runs of 1.5-2 minutes
+each plus two Tier-1 runs.
 """
 
 from __future__ import annotations
@@ -172,6 +173,8 @@ def main() -> int:
             "loadavg_before": list(load_before),
             "loadavg_after": list(os.getloadavg()),
             "python": platform.python_version(),
+            # glibc's heap trimming decides which work arrays stay mapped
+            "libc": list(platform.libc_ver()),
         },
         "correct": {s: [r["correct"] for r in runs[s]] for s in SIDES},
         "failed_units": {s: sum(r["failed"] for r in runs[s]) for s in SIDES},

@@ -93,9 +93,9 @@ class EngineState:
     `fuse_cost[k]` is what a head pays to receive k members and fuse k+1
     signals; `pairs` holds the PairTables of a network of at most
     PAIR_TABLE_MAX_NODES nodes, else None, and `work` the WorkArrays that
-    larger networks' rounds write their member-sized temporaries into, else
-    None.  All but `energy`, `alive`, `eligible_from`, `work` and the totals
-    are fixed at initial_state.
+    larger networks' rounds write their grid search, member links and
+    running sums into, else None.  All but `energy`, `alive`,
+    `eligible_from`, `work` and the totals are fixed at initial_state.
     """
 
     config: SimConfig
@@ -152,7 +152,8 @@ class Ledger(NamedTuple):
     stable sort keyed on each member's head index and each head's own: cluster
     by cluster (ascending head id), its members in ascending id, then its
     head.  In zero-head rounds, every alive node in ascending id.  `links`
-    holds the member-to-head distances in the members' order."""
+    holds the member-to-head distances in the members' order.  All three are
+    fresh arrays, never views of a run's work arrays."""
 
     ids: np.ndarray
     costs: np.ndarray
@@ -218,40 +219,32 @@ def transmission_costs(
 
     Members pay one transmission to their head; heads pay reception per
     member, aggregation over members+1 signals, and one transmission to the
-    base station, all in the Ledger's order (one stable sort on the head
+    base station, all in the Ledger's order (one stable_order on the head
     index).  Without heads (`head_of` None) every node of `members` pays one
     transmission to the base station.  Member links and their costs come
-    from the run's PairTables if it has them.  Otherwise they are measured
-    here, in the run's work arrays, and the sort's keys are narrowed to the
-    smallest type that holds a head index (stable_order).
+    from the run's PairTables if it has them; otherwise they are measured
+    here, in the run's work arrays.
     """
     if head_of is None:
         return Ledger(members, state.bs_cost[members], np.empty(0))
     n_members = np.bincount(head_of, minlength=len(heads))
     head_costs = state.fuse_cost[n_members] + state.bs_cost[heads]
-    # member j keyed by head_of[j], head k by k; stable keeps members first
-    head_keys = np.arange(len(heads))
-    work = state.work
-    if work is None:
+    if state.pairs is not None:
         at = members * len(state.x) + heads[head_of]
         links, member_costs = state.pairs.link.take(at), state.pairs.tx.take(at)
-        order = np.concatenate((head_of, head_keys)).argsort(kind="stable")
-        ids = np.concatenate((members, heads))[order]
-        costs = np.concatenate((member_costs, head_costs))[order]
-        return Ledger(ids, costs, links[order[order < len(members)]])
-    k = len(members) + len(heads)
-    head_ids = work.take("head_ids", heads, head_of)
-    dx = work.take("dx", state.x, members)
-    dx -= work.take("tmp", state.x, head_ids)
-    dy = work.take("dy", state.y, members)
-    dy -= work.take("tmp", state.y, head_ids)
-    links = link_lengths(dx, dy, work)
-    member_costs = tx_energy(state.config, links)
-    order = stable_order(
-        np.concatenate((head_of, head_keys), out=work.get("key", k, np.intp)), len(heads)
-    )
-    ids = np.concatenate((members, heads), out=work.get("ids", k, np.intp))[order]
-    costs = np.concatenate((member_costs, head_costs), out=work.get("costs", k))[order]
+    else:
+        work = state.work
+        head_ids = work.take("head_ids", heads, head_of)
+        dx = work.take("dx", state.x, members)
+        dx -= work.take("tmp", state.x, head_ids)
+        dy = work.take("dy", state.y, members)
+        dy -= work.take("tmp", state.y, head_ids)
+        links = link_lengths(dx, dy, work)
+        member_costs = tx_energy(state.config, links)
+    # member j keyed by head_of[j], head k by k; stable keeps members first
+    order = stable_order(np.concatenate((head_of, np.arange(len(heads)))), len(heads))
+    ids = np.concatenate((members, heads))[order]
+    costs = np.concatenate((member_costs, head_costs))[order]
     return Ledger(ids, costs, links[order[order < len(members)]])
 
 
@@ -269,14 +262,9 @@ def simulate_round(state: EngineState, r: int, draws: DrawStream) -> RoundMetric
     # a node that cannot cover its cost still acts, then dies with 0 J left;
     # the ledger charges it only what it had
     ids, work = ledger.ids, state.work
-    if work is None:
-        energy = state.energy[ids]
-        spent = np.minimum(ledger.costs, energy)
-        left = energy - spent
-    else:
-        energy = work.take("energy", state.energy, ids)
-        spent = np.minimum(ledger.costs, energy, out=work.get("spent", len(ids)))
-        left = np.subtract(energy, spent, out=energy)
+    energy = state.energy[ids]
+    spent = np.minimum(ledger.costs, energy)
+    left = energy - spent
     state.energy[ids] = left
     state.energy_dissipated = _sequential_sum(spent, state.energy_dissipated, work)
     if np.count_nonzero(left) < len(left):

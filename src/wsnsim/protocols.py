@@ -241,7 +241,7 @@ def _nearest_grid(mx, my, hx, hy, work: WorkArrays | None = None) -> np.ndarray:
         owner = work.get("grid_owner", total, np.intp)
         owner[...] = np.repeat(np.arange(len(bx), dtype=np.min_scalar_type(len(bx))), per_member)
         at = work.take("grid_at", first[cell] - seg, owner)  # candidate c's place in near
-        at += work.ramp(total)
+        at += np.arange(total)
         # squared_distances' expression, the same operations in place
         d2 = work.take("grid_d2", bx, owner)
         d2 -= work.take("grid_tmp", near_x, at)

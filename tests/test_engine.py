@@ -49,6 +49,34 @@ def costs_by_id(ledger):
     return dict(zip(ledger.ids.tolist(), ledger.costs.tolist()))
 
 
+def ledger_lists(ledger):
+    return ledger.ids.tolist(), ledger.costs.tolist(), ledger.links.tolist()
+
+
+def per_cluster_ledger(config, nodes, heads, members, head_of):
+    """(ids, costs, links) as a loop over the clusters charges them: each
+    head's members in ascending id, then the head; with no head, every node
+    direct to the base station."""
+    x, y, d_bs = nodes.x.tolist(), nodes.y.tolist(), nodes.d_bs.tolist()
+    if head_of is None:
+        return members, [tx_energy(config, d_bs[i]) for i in members], []
+    ids, costs, links = [], [], []
+    for k, h in enumerate(heads):
+        cluster = [i for i, hk in zip(members, head_of) if hk == k]
+        for i in cluster:
+            link = math.hypot(x[i] - x[h], y[i] - y[h])
+            ids.append(i)
+            costs.append(tx_energy(config, link))
+            links.append(link)
+        ids.append(h)
+        costs.append(
+            len(cluster) * rx_energy(config)
+            + aggregation_energy(config, len(cluster) + 1)
+            + tx_energy(config, d_bs[h])
+        )
+    return ids, costs, links
+
+
 class TestTransmissionCosts:
     def test_two_node_cluster_hand_values(self, make_deployment):
         # head 30 m from the base station, member 20 m from the head
@@ -112,27 +140,23 @@ class TestTransmissionCosts:
             mp.setattr(engine, "PAIR_TABLE_MAX_NODES", table_max)
             ledger = ledger_for(nodes, heads, members, head_of)
 
-        x, y, d_bs = nodes.x.tolist(), nodes.y.tolist(), nodes.d_bs.tolist()
-        if head_of is None:
-            ids, costs, links = members, [tx_energy(config, d_bs[i]) for i in members], []
-        else:
-            ids, costs, links = [], [], []
-            for k, h in enumerate(heads):
-                cluster = [i for i, hk in zip(members, head_of) if hk == k]
-                for i in cluster:
-                    link = math.hypot(x[i] - x[h], y[i] - y[h])
-                    ids.append(i)
-                    costs.append(tx_energy(config, link))
-                    links.append(link)
-                ids.append(h)
-                costs.append(
-                    len(cluster) * rx_energy(config)
-                    + aggregation_energy(config, len(cluster) + 1)
-                    + tx_energy(config, d_bs[h])
-                )
-        assert ledger.ids.tolist() == ids
-        assert ledger.costs.tolist() == costs
-        assert ledger.links.tolist() == links
+        assert ledger_lists(ledger) == per_cluster_ledger(config, nodes, heads, members, head_of)
+
+    @pytest.mark.parametrize("table_max", [300, 0], ids=["tables", "per_round"])
+    def test_ledger_past_255_heads_matches_per_cluster_loop(self, monkeypatch, table_max):
+        """257 heads: head indices past 255 need 16-bit sort keys on both
+        pricing paths.  Members go two by two to heads in falling index
+        order, starting at the last one, and most heads have none."""
+        config = SimConfig(n=300)
+        nodes = deploy(config, random.Random(5))
+        members = [i for i in range(300) if i % 7 == 0]
+        heads = [i for i in range(300) if i % 7]
+        head_of = [(256 - 5 * (j // 2)) % 257 for j in range(len(members))]
+        assert len(heads) == 257 and max(head_of) == 256
+        monkeypatch.setattr(engine, "PAIR_TABLE_MAX_NODES", table_max)
+        assert (initial_state(config, nodes).pairs is None) == (table_max == 0)
+        ledger = ledger_for(nodes, heads, members, head_of)
+        assert ledger_lists(ledger) == per_cluster_ledger(config, nodes, heads, members, head_of)
 
     @given(
         hx=st.floats(min_value=0.0, max_value=100.0),
