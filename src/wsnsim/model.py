@@ -174,11 +174,11 @@ class WorkArrays:
     only when k outgrows it or the dtype changes.  What a view holds stays
     until the name is used again.
 
-    A per-round run keeps 19 names: the grid search's candidate arrays, the
-    member links' legs, link_lengths' scratch and result, and the running
-    sums.  Allocating the grid's, the legs', the result's or the sums' afresh
-    added 70-200 minor faults to a warmed-up n=10000 round; the ledger and
-    the energy charge allocate afresh, which added none."""
+    A per-round run keeps 8 names: the grid search's two slabs, the member
+    links' legs, link_lengths' result and the running sums.  Allocating
+    these afresh has added 70-160 minor faults to a warmed-up n=10000
+    round, as much as glibc then hands back between rounds; the ledger, the
+    energy charge and link_lengths' scratch allocate afresh."""
 
     def __init__(self) -> None:
         self._arrays: dict[str, np.ndarray] = {}
@@ -190,11 +190,13 @@ class WorkArrays:
         return a[:k]
 
     def take(self, name: str, a: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """a[indices] for in-range indices, written into the work array
-        `name`.  np.take's default mode copies `out` to check the indices
-        first; "wrap" writes in place and, for in-range indices, the same
-        values."""
-        return np.take(a, indices, out=self.get(name, len(indices), a.dtype), mode="wrap")
+        """a[indices] (rows of `a`, for a 2-D `a`) for in-range indices,
+        written into the work array `name`.  np.take's default mode copies
+        `out` to check the indices first; "wrap" writes in place and, for
+        in-range indices, the same values."""
+        shape = (len(indices), *a.shape[1:])
+        out = self.get(name, math.prod(shape), a.dtype).reshape(shape)
+        return np.take(a, indices, axis=0, out=out, mode="wrap")
 
 
 # Dekker's splitter 2**27 + 1, and the range of squares within which every
@@ -240,21 +242,24 @@ def link_lengths(dx, dy, work: WorkArrays | None = None) -> np.ndarray:
     the exact range (zero, subnormal, huge, infinite or NaN), are measured
     by math.hypot one by one; on a field of random nodes about 0.3% are.
 
-    With `work`, the result and every temporary are work arrays ("link"
-    and scratch names), so the result is valid until the next call with
-    the same `work`; without it, all are fresh.
+    Both legs are squared in one pass over a stacked (2, k) array.  With
+    `work`, the result is the work array "link", valid until the next call
+    with the same `work`; without it, it is fresh.  The scratch is always
+    fresh.
     """
-    dx = np.asarray(dx, dtype=float)
-    dy = np.asarray(dy, dtype=float)
-    get = (work or WorkArrays()).get
-    a, a_low, b, b_low, s, high, low = (
-        get(name, len(dx)) for name in ("ll_a", "ll_al", "ll_b", "ll_bl", "ll_s", "ll_h", "ll_l")
-    )
+    # one fresh block for the legs and all scratch: as five separate (2, k)
+    # arrays, some n=10000 runs faulted 200 pages a round in them, and as
+    # one block none did
+    legs, squares, low_parts, high, low = np.empty((5, 2, len(dx)))
+    legs[0], legs[1] = dx, dy
+    dx, dy = legs
+    a, b = squares
+    a_low, b_low = low_parts
     with np.errstate(all="ignore"):  # entries out of range are redone below
-        _exact_square(dx, a, a_low, high, low)
-        _exact_square(dy, b, b_low, high, low)
+        _exact_square(legs, squares, low_parts, high, low)
+        high, low = high[0], low[0]  # one row of scratch is enough from here
         exact = np.minimum(a, b) >= _SQUARE_MIN
-        np.add(a, b, out=s)
+        s = a + b
         exact &= s <= _SQUARE_MAX
         np.subtract(s, a, out=high)  # two-sum: s + (a - ...) + (b - high) == a + b
         np.subtract(s, high, out=low)
@@ -271,7 +276,7 @@ def link_lengths(dx, dy, work: WorkArrays | None = None) -> np.ndarray:
         np.add(h, h, out=a)
         s /= a  # the correction (S - h*h) / (2h)
         tol = np.multiply(h, 2.0**-62, out=a_low)
-        length = np.add(s, tol, out=get("link", len(dx)))
+        length = np.add(s, tol, out=(work or WorkArrays()).get("link", len(dx)))
         length += h
         s -= tol
         s += h

@@ -113,24 +113,24 @@ def elect_heads(state, alive: np.ndarray, r: int, draws) -> np.ndarray:
 
 # Member x head pair count from which form_clusters searches a cell grid
 # instead of the full distance matrix.  On one core of a 2-vCPU Xeon VM, with
-# nine members per head (median of 400 alternating calls, two runs), the
-# dense kernel took 0.20-0.29 ms at 2.3e4 pairs against 0.32-0.51 ms for the
-# grid, 0.41-0.54 ms at 4.4e4 against 0.41-0.62 ms, 0.60 ms at 5.8e4 against
-# 0.61-0.64 ms, and 0.74-0.76 ms at 7.3e4 against 0.62-0.67 ms.  The default
-# n=100 round has about 900 pairs and stays dense; n=1000 has about 9e4 and
-# n=10000 about 9e6.
-GRID_MIN_PAIRS = 50_000
+# nine members per head (median of 400 alternating calls, two or three
+# runs), the dense kernel took 0.18-0.25 ms at 1.8e4 pairs against
+# 0.20-0.29 ms for the grid, about the same from 2.3e4 to 3.2e4 pairs
+# (0.21-0.37 ms either way), 0.26-0.27 ms at 3.8e4 against 0.23-0.25 ms and
+# 0.33-0.49 ms at 4.4e4 against 0.27-0.40 ms.  The default n=100 round has
+# about 900 pairs and stays dense; n=1000 has about 9e4 and n=10000 about
+# 9e6.
+GRID_MIN_PAIRS = 40_000
 
-# Members _nearest_grid scores at a time.  On the same VM, on one n=10000
-# dbcp round (9289 members, 711 heads) in a fresh process, blocks of 256,
-# 512, 1024 and 2048 members took at best 4.5, 3.8, 3.7 and 4.5 ms a call
-# and 0, 50, 240 and 720 minor page faults, where one flat pass over all
-# members took 6.6 ms and 2085 faults.  Timed in turn with a fixed
-# allocation-free loop, 1024 to 4096 ran alike, 512 took 15% longer and 256
-# 40%.  With a run's work arrays no block size faults once they are sized;
-# interleaved over 60 calls, 512, 1024, 2048 and 4096 took at best 4.7,
-# 4.1, 4.1 and 4.8 ms.  A round of at most one block (n=1000) is scored in
-# one pass.
+# Members _nearest_grid scores at a time.  On the same VM, over 60 captured
+# n=10000 calls (leach, sep and dbcp, seeds 1-2, 10 rounds each) with a
+# run's work arrays and the block sizes interleaved, blocks of 256, 512,
+# 1024, 2048 and 4096 members took at best 3.0-3.4, 2.4-2.8, 2.1-2.3,
+# 2.3-2.5 and 2.3-2.9 ms a call over two passes.  Without work arrays, one
+# n=10000 dbcp call (9289 members, 711 heads) peaked at 1.2, 1.5, 1.8, 2.2
+# and 3.4 MiB of numpy memory: a block's two slabs grow with its members
+# times its largest candidate count.  A round of at most one block (n=1000)
+# is scored in one pass.
 GRID_BLOCK_MEMBERS = 1024
 
 
@@ -172,11 +172,16 @@ def _nearest_grid(mx, my, hx, hy, work: WorkArrays | None = None) -> np.ndarray:
     indices rise with the coordinate, so that gap is exact in floating point
     and needs no margin.  Every other member is re-scored by _nearest_dense.
 
-    The heads are bucketed, and each cell's candidates listed, once per
-    call; the members are then scored GRID_BLOCK_MEMBERS at a time, so no
-    temporary grows with the member count.  A block's candidate-length
-    arrays are work arrays: the run's `work`, which keeps them mapped from
-    round to round, or fresh ones.
+    Once per call, every cell's candidates (the heads of its 3x3 block) are
+    listed as one row of a cells x K table in ascending head index, padded
+    with a sentinel head at +inf, K being the largest candidate count.  The
+    members are taken in order of their cell's candidate count,
+    GRID_BLOCK_MEMBERS at a time, and each block is scored as one slab of
+    the first K_b columns of its members' rows, K_b the block's largest
+    count; the first minimum of a row is then the lowest-index tie, as in
+    the dense kernel.  No temporary grows with the member count times the
+    heads.  The two slabs are work arrays: the run's `work`, which keeps
+    them mapped from round to round, or fresh ones.
     """
     n_heads = len(hx)
     x0, y0 = hx.min(), hy.min()
@@ -191,82 +196,73 @@ def _nearest_grid(mx, my, hx, hy, work: WorkArrays | None = None) -> np.ndarray:
 
     def beyond(hv, hcell, count):
         """below[k]: largest coordinate of a head in cells <= k-2; above[k]:
-        smallest in cells >= k.  Index either with a member's cell (+2 for
-        above) to get the nearest head coordinate past its block."""
-        high = np.full(count, -np.inf)
-        low = np.full(count, np.inf)
-        np.maximum.at(high, hcell, hv)
-        np.minimum.at(low, hcell, hv)
-        below = np.concatenate(([-np.inf, -np.inf], np.maximum.accumulate(high)))
-        above = np.concatenate((np.minimum.accumulate(low[::-1])[::-1], [np.inf, np.inf]))
+        smallest in cells >= k.  For a member in cell j of the bordered grid
+        below[j-1] and above[j+1] are the nearest head coordinates past its
+        block."""
+        # cells rise with the coordinate, so the heads in cells <= k hold
+        # the upto[k] smallest coordinates
+        upto = np.cumsum(np.bincount(hcell, minlength=count))
+        ranked = np.concatenate(([-np.inf], np.sort(hv), [np.inf]))
+        below = ranked[np.concatenate(([0, 0], upto))]
+        above = ranked[np.concatenate(([0], upto, [len(hv)])) + 1]
         return below, above
 
-    hcol, hrow = cell_of(hx, x0, nx), cell_of(hy, y0, ny)
-    head_cell = hrow * nx + hcol
-    by_cell = stable_order(head_cell, nx * ny)  # ascending index within a cell
-    start = np.zeros(nx * ny + 1, dtype=np.intp)
-    np.cumsum(np.bincount(head_cell, minlength=nx * ny), out=start[1:])
+    # cells are numbered on the grid with a border of empty cells, row by
+    # row, so every cell of a 3x3 block has a number and none wraps a row
+    stride = nx + 2
 
-    # every cell's candidates, listed once: the heads of its 3x3 block, one
-    # contiguous run of by_cell per block row (columns col-1..col+1)
-    crow, ccol = np.divmod(np.arange(nx * ny), nx)
-    rows = crow[:, None] + np.arange(-1, 2)
-    in_grid = (rows >= 0) & (rows < ny)
-    first_cell = np.clip(rows, 0, ny - 1) * nx
-    lo = start[first_cell + np.maximum(ccol - 1, 0)[:, None]]
-    hi = start[first_cell + np.minimum(ccol + 1, nx - 1)[:, None] + 1]
-    runs = np.where(in_grid, hi - lo, 0).ravel()
-    run_start = np.cumsum(runs) - runs
-    near = by_cell[np.arange(run_start[-1] + runs[-1]) + np.repeat(lo.ravel() - run_start, runs)]
-    near_x, near_y = hx[near], hy[near]
-    count = runs.reshape(-1, 3).sum(axis=1)
-    first = np.cumsum(count) - count
+    def candidate_table(head_cell):
+        """Row c: the heads of cell c's 3x3 block in ascending index, padded
+        with the sentinel n_heads; and each row's count."""
+        around = (np.arange(-1, 2)[:, None] * stride + np.arange(-1, 2)).ravel()
+        # each head is a candidate of the 9 cells around its own, listed
+        # head by head, so a stable sort by cell keeps each cell's ascending
+        near = (head_cell[:, None] + around).ravel()
+        by_cell = stable_order(near, stride * (ny + 2))
+        near = near[by_cell]
+        count = np.bincount(near, minlength=stride * (ny + 2))
+        rank = np.arange(len(near)) - np.repeat(np.cumsum(count) - count, count)
+        table = np.full((len(count), max(1, count.max())), n_heads, np.min_scalar_type(n_heads))
+        table.ravel()[near * table.shape[1] + rank] = by_cell // len(around)
+        return table, count
+
+    hcol, hrow = cell_of(hx, x0, nx), cell_of(hy, y0, ny)
+    table, count = candidate_table((hrow + 1) * stride + hcol + 1)
+    table_x, table_y = np.append(hx, np.inf)[table], np.append(hy, np.inf)[table]
     left, right = beyond(hx, hcol, nx)
     down, up = beyond(hy, hrow, ny)
+
+    cell = (cell_of(my, y0, ny) + 1) * stride + cell_of(mx, x0, nx) + 1
+    by_count = stable_order(count[cell], table.shape[1])
 
     work = work or WorkArrays()
     nearest = np.empty(len(mx), dtype=np.intp)
     for lead in range(0, len(mx), GRID_BLOCK_MEMBERS):
-        block = slice(lead, lead + GRID_BLOCK_MEMBERS)
-        bx, by = mx[block], my[block]
-        mcol, mrow = cell_of(bx, x0, nx), cell_of(by, y0, ny)
-        cell = mrow * nx + mcol
-        per_member = count[cell]
-        seg = np.cumsum(per_member) - per_member
-        total = int(seg[-1] + per_member[-1])
-        scored = np.flatnonzero(per_member)
-        # owner[c], the member whose candidate c is, repeated in the
-        # narrowest type that holds a member index so that this one
-        # temporary of the block stays small
-        owner = work.get("grid_owner", total, np.intp)
-        owner[...] = np.repeat(np.arange(len(bx), dtype=np.min_scalar_type(len(bx))), per_member)
-        at = work.take("grid_at", first[cell] - seg, owner)  # candidate c's place in near
-        at += np.arange(total)
+        ids = by_count[lead : lead + GRID_BLOCK_MEMBERS]
+        rows = cell[ids]
+        k = max(1, count[rows[-1]])  # the block's largest count
+        bx, by = mx[ids], my[ids]
         # squared_distances' expression, the same operations in place
-        d2 = work.take("grid_d2", bx, owner)
-        d2 -= work.take("grid_tmp", near_x, at)
+        d2 = work.take("grid_x", table_x[:, :k], rows)
+        np.subtract(bx[:, None], d2, out=d2)
         d2 *= d2
-        dy = work.take("grid_dy", by, owner)
-        dy -= work.take("grid_tmp", near_y, at)
+        dy = work.take("grid_y", table_y[:, :k], rows)
+        np.subtract(by[:, None], dy, out=dy)
         dy *= dy
         d2 += dy
-
-        seg = seg[scored]
-        best = np.full(len(bx), np.inf)
-        best[scored] = np.minimum.reduceat(d2, seg)
-        cand = work.take("grid_cand", near, at)
-        np.putmask(cand, d2 != work.take("grid_tmp", best, owner), n_heads)
-        out = nearest[block]  # a view: writes land in nearest
-        out[scored] = np.minimum.reduceat(cand, seg)
-
+        pick = d2.argmin(axis=1)
+        found = table[rows, pick]
+        best = d2[np.arange(len(ids)), pick]
+        mrow, mcol = np.divmod(rows, stride)  # on the bordered grid
         gap = np.minimum(
-            np.minimum(bx - left[mcol], right[mcol + 2] - bx),
-            np.minimum(by - down[mrow], up[mrow + 2] - by),
+            np.minimum(bx - left[mcol - 1], right[mcol + 1] - bx),
+            np.minimum(by - down[mrow - 1], up[mrow + 1] - by),
         )
         # members with no candidate have best = inf and always land here
         redo = np.flatnonzero(~(best < gap * gap))
         if redo.size:
-            out[redo] = _nearest_dense(bx[redo], by[redo], hx, hy)
+            found[redo] = _nearest_dense(bx[redo], by[redo], hx, hy)
+        nearest[ids] = found
     return nearest
 
 

@@ -2,16 +2,18 @@
 
 A series row is an engine.RoundMetrics and a summary row an
 engine.SummaryMetrics after the run's protocol and seed; both are written as
-they are, so their fields are the CSV headers.  No writer formats a number:
+they are, so their fields are the CSV headers.  No writer rounds a number:
 csv.writer writes a Python float as its repr, the shortest string that
 round-trips float64 exactly, so reading a series file back yields the
 in-memory values bit for bit; it writes None as an empty cell.
+write_series writes the same bytes through one format string per row.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -21,6 +23,10 @@ from .engine import RoundMetrics, RunResult, SummaryMetrics
 from .model import ProtocolKind
 
 SERIES_COLUMNS = list(RoundMetrics._fields)
+
+# a series row as csv.writer writes it: ints by str, the float residual by
+# repr, and no field that needs quoting
+_SERIES_LINE = ",".join(["%s"] * (len(SERIES_COLUMNS) - 1) + ["%r"]) + "\n"
 
 SUMMARY_COLUMNS = ["protocol", "seed", *SummaryMetrics._fields]
 
@@ -120,18 +126,30 @@ def aggregate(results: Sequence[RunResult]) -> dict[ProtocolKind, ProtocolAggreg
     return aggregates
 
 
-def _write_rows(path, header: list[str], rows: Iterable[Iterable]) -> None:
+@contextmanager
+def _output(path) -> Iterator:
+    """The text file at `path`, opened for writing; any OSError while it is
+    open is raised again with the path in its message."""
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            yield fh
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_rows(path, header: list[str], rows: Iterable[Iterable]) -> None:
+    with _output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_series(series: Sequence[RoundMetrics], path) -> None:
-    _write_rows(path, SERIES_COLUMNS, series)
+    """The bytes _write_rows would write for the series, in about two
+    thirds of its time."""
+    with _output(path) as fh:
+        fh.write(",".join(SERIES_COLUMNS) + "\n")
+        fh.write("".join([_SERIES_LINE % row for row in series]))
 
 
 def write_summary(results: Sequence[RunResult], path) -> None:

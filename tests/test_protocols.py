@@ -418,6 +418,62 @@ class TestNearestHeadSearch:
         assert _nearest_grid(mx, my, hx, hy).tolist() == expected.tolist()
         assert rescored == [7]
 
+    def test_one_block_spans_every_candidate_count(self, monkeypatch):
+        """A knot of heads in one corner, a few along one edge and one in
+        the far corner: the members of a single block sit in cells with no
+        candidate, with the most (K) and with counts between."""
+        rng = np.random.default_rng(8)
+        hx, hy = np.concatenate([
+            rng.uniform(0, 8, (2, 25)),
+            [rng.uniform(10, 100, 8), rng.uniform(0, 10, 8)],
+            [[100.0], [100.0]],
+        ], axis=1)
+        mx, my = rng.uniform(0, 100, (2, 600))
+        orders = []
+
+        def spy(keys, bound):
+            orders.append((keys.tolist(), bound))
+            return stable_order(keys, bound)
+
+        monkeypatch.setattr(protocols, "stable_order", spy)
+        assert _nearest_grid(mx, my, hx, hy).tolist() == _nearest_dense(mx, my, hx, hy).tolist()
+        counts, most = orders[-1]  # the members, ordered by their cells' counts
+        assert len(mx) <= protocols.GRID_BLOCK_MEMBERS
+        assert min(counts) == 0 and max(counts) == most
+        assert len(set(counts)) >= 5
+
+    def test_tie_across_cells_goes_to_lower_index(self, monkeypatch):
+        """Heads 0 and 1 lie 3 m above and below the member, in different
+        cells; head 0's cell comes later in row order, so listing the
+        candidates cell by cell would put head 1 first.  The grid decides
+        this member itself, without the dense re-score."""
+        angle = np.linspace(0, 2 * np.pi, 30, endpoint=False)
+        hx = np.concatenate(([50.0, 50.0], 50 + 40 * np.cos(angle)))
+        hy = np.concatenate(([53.0, 47.0], 50 + 40 * np.sin(angle)))
+        mx, my = np.array([50.0]), np.array([50.0])
+        rescored = []
+
+        def spy(*args):
+            rescored.append(len(args[0]))
+            return _nearest_dense(*args)
+
+        monkeypatch.setattr(protocols, "_nearest_dense", spy)
+        assert _nearest_grid(mx, my, hx, hy).tolist() == [0]
+        assert rescored == []
+
+    @pytest.mark.parametrize("protocol", list(ProtocolKind))
+    def test_first_round_at_n1000_is_one_block(self, protocol, monkeypatch):
+        config = SimConfig(n=1000, protocol=protocol, seed=5)
+        rng = random.Random(config.seed)
+        nodes = deploy(config, rng)
+        state = initial_state(config, nodes)
+        heads = elect_heads(state, state.alive, 0, DrawStream(rng))
+        members, grid = form_clusters(state.alive, heads, nodes.x, nodes.y)
+        assert len(members) <= protocols.GRID_BLOCK_MEMBERS
+        assert len(members) * len(heads) >= protocols.GRID_MIN_PAIRS
+        monkeypatch.setattr(protocols, "GRID_MIN_PAIRS", float("inf"))
+        assert grid.tolist() == form_clusters(state.alive, heads, nodes.x, nodes.y)[1].tolist()
+
     def test_form_clusters_same_on_either_path(self, monkeypatch):
         nodes = deployed_network(n=2000, seed=4)
         alive, heads = np.arange(2000), np.arange(0, 2000, 10)

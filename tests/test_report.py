@@ -1,9 +1,12 @@
 """Aggregation and CSV serialization."""
 
 import csv
+import io
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsnsim.engine import RoundMetrics, RunResult, SummaryMetrics
 from wsnsim.model import ProtocolKind, SimConfig
@@ -103,6 +106,31 @@ class TestSeriesSerialization:
         write_series(series, a)
         write_series(series, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @given(
+        st.lists(
+            st.builds(
+                RoundMetrics,
+                # the engine's counts come as Python and as numpy ints
+                *[st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1).map(np.int64))] * 8,
+                st.one_of(
+                    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+                ),
+            ),
+            max_size=20,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_as_csv_writer(self, tmp_path_factory, series):
+        """Zero, subnormal and huge residuals among them."""
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(SERIES_COLUMNS)
+        writer.writerows(series)
+        path = tmp_path_factory.mktemp("series") / "series.csv"
+        write_series(series, path)
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_write_error_names_path(self, tmp_path):
         target = tmp_path / "missing_dir" / "series.csv"
