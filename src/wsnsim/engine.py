@@ -93,8 +93,8 @@ class EngineState:
     `fuse_cost[k]` is what a head pays to receive k members and fuse k+1
     signals; `pairs` holds the PairTables of a network of at most
     PAIR_TABLE_MAX_NODES nodes, else None, and `work` the WorkArrays that
-    larger networks' rounds write their grid search, member links and
-    running sums into, else None.  All but `energy`, `alive`,
+    larger networks' rounds write their grid search's slabs, member link
+    lengths and running sums into, else None.  All but `energy`, `alive`,
     `eligible_from`, `work` and the totals are fixed at initial_state.
     """
 
@@ -223,7 +223,7 @@ def transmission_costs(
     index).  Without heads (`head_of` None) every node of `members` pays one
     transmission to the base station.  Member links and their costs come
     from the run's PairTables if it has them; otherwise they are measured
-    here, in the run's work arrays.
+    here, into the run's work array for links.
     """
     if head_of is None:
         return Ledger(members, state.bs_cost[members], np.empty(0))
@@ -233,13 +233,9 @@ def transmission_costs(
         at = members * len(state.x) + heads[head_of]
         links, member_costs = state.pairs.link.take(at), state.pairs.tx.take(at)
     else:
-        work = state.work
-        head_ids = work.take("head_ids", heads, head_of)
-        dx = work.take("dx", state.x, members)
-        dx -= work.take("tmp", state.x, head_ids)
-        dy = work.take("dy", state.y, members)
-        dy -= work.take("tmp", state.y, head_ids)
-        links = link_lengths(dx, dy, work)
+        head_ids = heads[head_of]
+        dx, dy = state.x[members] - state.x[head_ids], state.y[members] - state.y[head_ids]
+        links = link_lengths(dx, dy, state.work)
         member_costs = tx_energy(state.config, links)
     # member j keyed by head_of[j], head k by k; stable keeps members first
     order = stable_order(np.concatenate((head_of, np.arange(len(heads)))), len(heads))

@@ -174,11 +174,13 @@ class WorkArrays:
     only when k outgrows it or the dtype changes.  What a view holds stays
     until the name is used again.
 
-    A per-round run keeps 8 names: the grid search's two slabs, the member
-    links' legs, link_lengths' result and the running sums.  Allocating
-    these afresh has added 70-160 minor faults to a warmed-up n=10000
-    round, as much as glibc then hands back between rounds; the ledger, the
-    energy charge and link_lengths' scratch allocate afresh."""
+    A per-round run keeps 4 names: the grid search's two slabs,
+    link_lengths' result and the running sums.  Each has added 70-160
+    minor faults to a warmed-up n=10000 round when allocated afresh, as
+    much as glibc handed back between rounds; how much glibc hands back
+    depends on the round's other frees (README, Cluster formation).  The
+    member links' legs, link_lengths' scratch, the ledger and the energy
+    charge allocate afresh."""
 
     def __init__(self) -> None:
         self._arrays: dict[str, np.ndarray] = {}

@@ -125,12 +125,12 @@ GRID_MIN_PAIRS = 40_000
 # Members _nearest_grid scores at a time.  On the same VM, over 60 captured
 # n=10000 calls (leach, sep and dbcp, seeds 1-2, 10 rounds each) with a
 # run's work arrays and the block sizes interleaved, blocks of 256, 512,
-# 1024, 2048 and 4096 members took at best 3.0-3.4, 2.4-2.8, 2.1-2.3,
-# 2.3-2.5 and 2.3-2.9 ms a call over two passes.  Without work arrays, one
-# n=10000 dbcp call (9289 members, 711 heads) peaked at 1.2, 1.5, 1.8, 2.2
-# and 3.4 MiB of numpy memory: a block's two slabs grow with its members
-# times its largest candidate count.  A round of at most one block (n=1000)
-# is scored in one pass.
+# 1024, 2048 and 4096 members took at best 5.3-5.4, 3.9-4.1, 3.6, 3.1-3.4
+# and 3.2-3.3 ms a call over two passes.  Without work arrays, one n=10000
+# dbcp call (9289 members, 711 heads) peaked at 0.8, 1.1, 1.6, 2.5 and
+# 4.2 MiB of numpy memory: a block's two slabs grow with its members times
+# its largest candidate count.  1024 is the largest block that stays under
+# 2 MiB.  A round of at most one block (n=1000) is scored in one pass.
 GRID_BLOCK_MEMBERS = 1024
 
 
@@ -175,13 +175,14 @@ def _nearest_grid(mx, my, hx, hy, work: WorkArrays | None = None) -> np.ndarray:
     Once per call, every cell's candidates (the heads of its 3x3 block) are
     listed as one row of a cells x K table in ascending head index, padded
     with a sentinel head at +inf, K being the largest candidate count.  The
-    members are taken in order of their cell's candidate count,
+    members are taken in descending order of their cell's candidate count,
     GRID_BLOCK_MEMBERS at a time, and each block is scored as one slab of
     the first K_b columns of its members' rows, K_b the block's largest
     count; the first minimum of a row is then the lowest-index tie, as in
     the dense kernel.  No temporary grows with the member count times the
     heads.  The two slabs are work arrays: the run's `work`, which keeps
-    them mapped from round to round, or fresh ones.
+    them mapped from round to round, or fresh ones.  The first block sizes
+    them for the whole call.
     """
     n_heads = len(hx)
     x0, y0 = hx.min(), hy.min()
@@ -216,13 +217,13 @@ def _nearest_grid(mx, my, hx, hy, work: WorkArrays | None = None) -> np.ndarray:
         with the sentinel n_heads; and each row's count."""
         around = (np.arange(-1, 2)[:, None] * stride + np.arange(-1, 2)).ravel()
         # each head is a candidate of the 9 cells around its own, listed
-        # head by head, so a stable sort by cell keeps each cell's ascending
+        # head by head, so a stable sort by cell keeps each row ascending
         near = (head_cell[:, None] + around).ravel()
         by_cell = stable_order(near, stride * (ny + 2))
         near = near[by_cell]
         count = np.bincount(near, minlength=stride * (ny + 2))
         rank = np.arange(len(near)) - np.repeat(np.cumsum(count) - count, count)
-        table = np.full((len(count), max(1, count.max())), n_heads, np.min_scalar_type(n_heads))
+        table = np.full((len(count), count.max()), n_heads, np.min_scalar_type(n_heads))
         table.ravel()[near * table.shape[1] + rank] = by_cell // len(around)
         return table, count
 
@@ -233,14 +234,14 @@ def _nearest_grid(mx, my, hx, hy, work: WorkArrays | None = None) -> np.ndarray:
     down, up = beyond(hy, hrow, ny)
 
     cell = (cell_of(my, y0, ny) + 1) * stride + cell_of(mx, x0, nx) + 1
-    by_count = stable_order(count[cell], table.shape[1])
+    by_count = stable_order(count[cell], table.shape[1])[::-1]
 
     work = work or WorkArrays()
     nearest = np.empty(len(mx), dtype=np.intp)
     for lead in range(0, len(mx), GRID_BLOCK_MEMBERS):
         ids = by_count[lead : lead + GRID_BLOCK_MEMBERS]
         rows = cell[ids]
-        k = max(1, count[rows[-1]])  # the block's largest count
+        k = max(1, count[rows[0]])  # the block's largest count
         bx, by = mx[ids], my[ids]
         # squared_distances' expression, the same operations in place
         d2 = work.take("grid_x", table_x[:, :k], rows)
@@ -258,10 +259,14 @@ def _nearest_grid(mx, my, hx, hy, work: WorkArrays | None = None) -> np.ndarray:
             np.minimum(bx - left[mcol - 1], right[mcol + 1] - bx),
             np.minimum(by - down[mrow - 1], up[mrow + 1] - by),
         )
-        # members with no candidate have best = inf and always land here
+        # members with no candidate have best = inf and always land here;
+        # they gather in the last blocks, so they are re-scored in pieces
+        # whose matrix is no larger than the block's slab
         redo = np.flatnonzero(~(best < gap * gap))
-        if redo.size:
-            found[redo] = _nearest_dense(bx[redo], by[redo], hx, hy)
+        step = max(1, d2.size // n_heads)
+        for lead in range(0, redo.size, step):
+            part = redo[lead : lead + step]
+            found[part] = _nearest_dense(bx[part], by[part], hx, hy)
         nearest[ids] = found
     return nearest
 
