@@ -175,12 +175,11 @@ class WorkArrays:
     until the name is used again.
 
     A per-round run keeps 4 names: the grid search's two slabs,
-    link_lengths' result and the running sums.  Each has added 70-160
-    minor faults to a warmed-up n=10000 round when allocated afresh, as
-    much as glibc handed back between rounds; how much glibc hands back
-    depends on the round's other frees (README, Cluster formation).  The
-    member links' legs, link_lengths' scratch, the ledger and the energy
-    charge allocate afresh."""
+    link_lengths' result and the running sums.  Allocating the slabs or
+    the result afresh added a median of 127 and 151 minor faults to a
+    warmed-up n=10000 round, and all four 407; the member links' legs,
+    link_lengths' scratch, the ledger and the energy charge allocate
+    afresh, which added none."""
 
     def __init__(self) -> None:
         self._arrays: dict[str, np.ndarray] = {}
@@ -244,22 +243,16 @@ def link_lengths(dx, dy, work: WorkArrays | None = None) -> np.ndarray:
     the exact range (zero, subnormal, huge, infinite or NaN), are measured
     by math.hypot one by one; on a field of random nodes about 0.3% are.
 
-    Both legs are squared in one pass over a stacked (2, k) array.  With
-    `work`, the result is the work array "link", valid until the next call
-    with the same `work`; without it, it is fresh.  The scratch is always
-    fresh.
+    With `work`, the result is the work array "link", valid until the next
+    call with the same `work`; without it, it is fresh.  The scratch is
+    always fresh.
     """
-    # one fresh block for the legs and all scratch: as five separate (2, k)
-    # arrays, some n=10000 runs faulted 200 pages a round in them, and as
-    # one block none did
-    legs, squares, low_parts, high, low = np.empty((5, 2, len(dx)))
-    legs[0], legs[1] = dx, dy
-    dx, dy = legs
-    a, b = squares
-    a_low, b_low = low_parts
+    dx = np.asarray(dx, dtype=float)
+    dy = np.asarray(dy, dtype=float)
+    a, a_low, b, b_low, high, low = (np.empty(len(dx)) for _ in range(6))
     with np.errstate(all="ignore"):  # entries out of range are redone below
-        _exact_square(legs, squares, low_parts, high, low)
-        high, low = high[0], low[0]  # one row of scratch is enough from here
+        _exact_square(dx, a, a_low, high, low)
+        _exact_square(dy, b, b_low, high, low)
         exact = np.minimum(a, b) >= _SQUARE_MIN
         s = a + b
         exact &= s <= _SQUARE_MAX
