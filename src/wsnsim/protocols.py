@@ -172,17 +172,13 @@ def _nearest_grid(mx, my, hx, hy, work: WorkArrays | None = None) -> np.ndarray:
     indices rise with the coordinate, so that gap is exact in floating point
     and needs no margin.  Every other member is re-scored by _nearest_dense.
 
-    Once per call, every cell's candidates (the heads of its 3x3 block) are
-    listed as one row of a cells x K table in ascending head index, padded
-    with a sentinel head at +inf, K being the largest candidate count.  The
-    members are taken in descending order of their cell's candidate count,
-    GRID_BLOCK_MEMBERS at a time, and each block is scored as one slab of
-    the first K_b columns of its members' rows, K_b the block's largest
-    count; the first minimum of a row is then the lowest-index tie, as in
-    the dense kernel.  No temporary grows with the member count times the
-    heads.  The two slabs are work arrays: the run's `work`, which keeps
-    them mapped from round to round, or fresh ones.  The first block sizes
-    them for the whole call.
+    Once per call, each cell's candidates (the heads of its 3x3 block) are
+    listed as a row of a cells x K table in ascending head index, padded
+    with a sentinel head at +inf.  Members are taken GRID_BLOCK_MEMBERS at a
+    time in descending order of their cell's candidate count, and a block
+    is scored as one slab of its members' rows, cut to the block's largest
+    count; a row's first minimum is then the lowest-index tie.  The two
+    slabs are the run's `work` arrays, sized by the first block, or fresh.
     """
     n_heads = len(hx)
     x0, y0 = hx.min(), hy.min()
@@ -264,8 +260,8 @@ def _nearest_grid(mx, my, hx, hy, work: WorkArrays | None = None) -> np.ndarray:
         # whose matrix is no larger than the block's slab
         redo = np.flatnonzero(~(best < gap * gap))
         step = max(1, d2.size // n_heads)
-        for lead in range(0, redo.size, step):
-            part = redo[lead : lead + step]
+        for at in range(0, redo.size, step):
+            part = redo[at : at + step]
             found[part] = _nearest_dense(bx[part], by[part], hx, hy)
         nearest[ids] = found
     return nearest
