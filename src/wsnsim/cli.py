@@ -19,8 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -161,14 +159,23 @@ def _echo_config(config: SimConfig, out_dir: Path) -> None:
 
 def run_batch(configs: list[SimConfig], workers: int | None = None) -> list[engine.RunResult]:
     """Run many configs, optionally across processes.  Results come back in
-    input order; each run owns its rng, so scheduling cannot change outputs."""
+    input order; each run owns its rng, so scheduling cannot change outputs.
+    A pool that breaks, as when a worker is killed, raises ChildProcessError."""
     if workers is None:
         workers = os.cpu_count() or 1
     workers = min(workers, len(configs))
     if workers <= 1:
         return [engine.run(c) for c in configs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(engine.run, configs))
+    # imported here, not at the top: the pool pulls in multiprocessing, which
+    # a one-worker batch never uses and which is about 15% of a cold start
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(engine.run, configs))
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(str(exc)) from exc
 
 
 def _parse_seed_range(text: str) -> list[int]:
@@ -381,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, BrokenProcessPool) as exc:  # the pool breaks when a worker is killed
+    except OSError as exc:  # run_batch's ChildProcessError, for a killed worker, is one
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -518,6 +519,30 @@ class TestWorkerFailures:
                      "--max-rounds", "5", "--workers", "1"])
         assert code == 1
         assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def test_one_worker_batch_leaves_the_pool_stack_unimported(tmp_path):
+    """A CLI process that never forks imports no pool: concurrent.futures'
+    process module pulls in multiprocessing, socket, subprocess and logging,
+    about 15% of a cold start, so run_batch imports it only for a pool."""
+    code = (
+        "import sys\n"
+        "from wsnsim import cli\n"
+        "argv = ['compare', '--out', sys.argv[1], '--seeds', '1..2', '--n', '20',\n"
+        "        '--max-rounds', '5', '--workers', '1']\n"
+        "assert cli.main(argv) == 0\n"
+        "loaded = [m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "out" / "comparison.csv").exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -238,10 +238,10 @@ class TestPairTables:
 # A fresh process's n=10000 run: three rounds size the run's work arrays,
 # then the minor page faults of five more rounds are counted one by one.
 FAULT_PROBE = """
-import random, resource, statistics
+import random, resource, statistics, sys
 from wsnsim.engine import DrawStream, initial_state, simulate_round
-from wsnsim.model import SimConfig, deploy
-config = SimConfig(n=10000, seed=3)
+from wsnsim.model import ProtocolKind, SimConfig, deploy
+config = SimConfig(n=10000, seed=3, protocol=ProtocolKind(sys.argv[1]))
 rng = random.Random(config.seed)
 state = initial_state(config, deploy(config, rng))
 draws = DrawStream(rng)
@@ -255,13 +255,15 @@ print(statistics.median(faults[3:]))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc's page faults")
-def test_large_round_keeps_its_memory_mapped():
+@pytest.mark.parametrize("protocol", [p.value for p in ProtocolKind])
+def test_large_round_keeps_its_memory_mapped(protocol):
     """A warmed-up n=10000 round writes into work arrays its run already
     holds.  When each round allocated and freed its temporaries, glibc gave
-    the pages back between rounds and a round took 300-450 minor faults."""
+    the pages back between rounds and a round took 300-450 minor faults.
+    Each protocol's rounds allocate differently, so each is probed."""
     src = str(Path(wsnsim.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", FAULT_PROBE],
+        [sys.executable, "-c", FAULT_PROBE, protocol],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
