@@ -310,12 +310,11 @@ def _write_runs(results: list[engine.RunResult], out_dir: Path) -> None:
     report.write_summary(results, out_dir / "summary.csv")
 
 
-def _run_compare_batch(
-    base: SimConfig, configs: list[SimConfig], out_dir: Path, workers: int | None
+def _write_comparison(
+    base: SimConfig, results: list[engine.RunResult], out_dir: Path
 ) -> dict[ProtocolKind, report.ProtocolAggregate]:
-    """Run the _compare_configs of `base`, writing the full file set into
-    out_dir."""
-    results = run_batch(configs, workers)
+    """Write the full file set of the runs of base's _compare_configs into
+    out_dir, the config echo last."""
     _write_runs(results, out_dir)
     comparison = report.aggregate(results)
     report.write_mean_curves(comparison, out_dir / "mean_curves.csv")
@@ -348,7 +347,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     base = parse_config(args.config, _collect_overrides(args))
     configs = _compare_configs(base, args.seeds)  # before the directory: a bad seed leaves none
     out_dir = _prepare_out(args.out)
-    comparison = _run_compare_batch(base, configs, out_dir, args.workers)
+    comparison = _write_comparison(base, run_batch(configs, args.workers), out_dir)
     _print_mean_table(comparison)
     return 0
 
@@ -362,13 +361,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # --values 0 --b 0)
     resolved = _resolve(args.config, _collect_overrides(args))
     points = [(value, _build_config({**resolved, args.param: value})) for value in args.values]
-    batches = [_compare_configs(sub_base, args.seeds) for _, sub_base in points]
+    configs = [c for _, sub_base in points for c in _compare_configs(sub_base, args.seeds)]
     out_dir = _prepare_out(args.out)
+    # every point's runs in one batch, so one pool serves the whole sweep and
+    # no point directory is made before every run has returned
+    results = run_batch(configs, args.workers)
+    per_point = len(results) // len(points)
     entries = []
-    for (value, sub_base), configs in zip(points, batches):
+    for k, (value, sub_base) in enumerate(points):
         sub_dir = out_dir / f"{args.param}_{value:g}"
         sub_dir.mkdir(parents=True, exist_ok=True)
-        comparison = _run_compare_batch(sub_base, configs, sub_dir, args.workers)
+        point_results = results[k * per_point : (k + 1) * per_point]
+        comparison = _write_comparison(sub_base, point_results, sub_dir)
         entries.append((value, comparison))
         print(f"--- {args.param} = {value:g} ---")
         _print_mean_table(comparison)

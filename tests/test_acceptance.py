@@ -298,13 +298,16 @@ def measures_from_dir(point_dir):
 
 @pytest.fixture(scope="module")
 def replication_batch():
-    """90 paired default-config runs (3 protocols x 30 seeds), aggregated."""
+    """90 paired default-config runs (3 protocols x 30 seeds), aggregated.
+    They run as one cli.run_batch over the default worker count; each run
+    owns its rng, so the results are those of one-by-one engine.run calls."""
     t0 = time.perf_counter()
-    runs = [
-        engine.run(replace(SimConfig(), protocol=protocol, seed=seed))
+    configs = [
+        replace(SimConfig(), protocol=protocol, seed=seed)
         for protocol in PROTOCOLS
         for seed in REPLICATION_SEEDS
     ]
+    runs = cli.run_batch(configs)
     elapsed = time.perf_counter() - t0
     return report.aggregate(runs), elapsed
 

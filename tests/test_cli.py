@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -318,8 +319,9 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("change", ["rewrite", "delete"])
     def test_config_file_read_once(self, tmp_path, monkeypatch, change):
-        """Editing or deleting the config file while the sweep runs changes
-        nothing: every point and the top-level echo come from one read."""
+        """Editing or deleting the config file after it is read, before the
+        sweep's one batch runs, changes nothing: every point and the
+        top-level echo come from one read."""
         config = write_config(tmp_path, n=12, max_rounds=20)
         calls = []
 
@@ -339,12 +341,56 @@ class TestSweepCommand:
              "--out", str(out), "--seeds", "1..1", "--workers", "1"]
         )
         assert code == 0
-        assert len(calls) == 2
-        assert {c.n for batch in calls for c in batch} == {12}
+        assert len(calls) == 1
+        assert {c.n for c in calls[0]} == {12}
         echoed = json.loads((out / "config.json").read_text())
         assert echoed == config_to_dict(SimConfig(n=12, max_rounds=20))
         for point, m in (("m_0.1", 0.1), ("m_0.3", 0.3)):
             assert json.loads((out / point / "config.json").read_text()) == {**echoed, "m": m}
+
+    def test_one_batch_over_every_point_in_point_order(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(configs, workers=None):
+            calls.append(list(configs))
+            return run_batch(configs, workers)
+
+        monkeypatch.setattr(cli, "run_batch", spy)
+        code = main(
+            ["sweep", "--param", "m", "--values", "0.3,0.1,0.2", "--out", str(tmp_path / "swp"),
+             "--n", "12", "--max-rounds", "20", "--seeds", "2..3", "--workers", "1"]
+        )
+        assert code == 0
+        base = SimConfig(n=12, max_rounds=20)
+        protocols = [ProtocolKind.LEACH, ProtocolKind.SEP, ProtocolKind.DBCP]
+        assert calls == [
+            [
+                replace(base, m=m, protocol=protocol, seed=seed)
+                for m in (0.3, 0.1, 0.2)
+                for protocol in protocols
+                for seed in (2, 3)
+            ]
+        ]
+
+    def test_pooled_and_serial_sweeps_write_the_same_tree(self, tmp_path, capsys):
+        """Two workers and one give the same files, byte for byte, and the
+        same console text; the runs end at different rounds."""
+        trees, printed = [], []
+        for workers in ("2", "1"):
+            out = tmp_path / f"workers{workers}"
+            code = main(
+                ["sweep", "--param", "m", "--values", "0.1,0.3", "--e0", "0.02",
+                 "--n", "16", "--max-rounds", "400", "--seeds", "1..2",
+                 "--workers", workers, "--out", str(out)]
+            )
+            assert code == 0
+            trees.append(
+                {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            )
+            printed.append(capsys.readouterr().out)
+        assert len(trees[0]) == 3 + 2 * 11  # sweep.csv and echoes; per point 6 series + 5
+        assert trees[0] == trees[1]
+        assert printed[0] == printed[1]
 
     def test_base_with_invalid_tier_rates_writes_no_echo(self, tmp_path):
         """The base here has a super-tier rate that reaches 1, so SimConfig
@@ -512,6 +558,18 @@ class TestWorkerFailures:
         # the config echo comes last, so a failed batch leaves none behind
         assert not (out / "config.json").exists()
         assert not (out / "derived.json").exists()
+
+    def test_dead_pool_worker_during_a_sweep_writes_no_point(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "run", _exit_abruptly)
+        out = tmp_path / "swp"
+        code = main(["sweep", "--param", "m", "--values", "0.1,0.2", "--out", str(out),
+                     "--seeds", "1..2", "--max-rounds", "5", "--workers", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        # the batch fails before any point directory, and so any point's
+        # config.json, is made
+        assert list(out.iterdir()) == []
 
     def test_memory_error_is_a_clean_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(engine, "run", _out_of_memory)

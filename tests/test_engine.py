@@ -7,6 +7,7 @@ station pays 2.0e-5 (rx) + 4.0e-5 (fusing two signals) + 5.6e-5 (tx)
 = 1.16e-4 J.  Those numbers predate the engine and are frozen.
 """
 
+import dataclasses
 import math
 import os
 import pickle
@@ -477,6 +478,74 @@ class TestRun:
             assert type(residual) is float
         assert all(v is None or type(v) is int for v in result.summary)
         assert pickle.loads(pickle.dumps(result)) == result
+
+
+class TestSeries:
+    @pytest.fixture(scope="class")
+    def run_and_rows(self):
+        """A run whose network dies, and its series as a list of rows."""
+        result = engine.run(SimConfig(n=30, seed=3, e0=0.05))
+        return result, list(result.series)
+
+    def test_reads_like_its_rows(self, run_and_rows):
+        result, rows = run_and_rows
+        series = result.series
+        assert isinstance(series, engine.Series)
+        assert len(series) == len(rows) == result.summary.rounds_simulated
+        for i in (0, 1, len(rows) // 2, len(rows) - 1, -1, -2, -len(rows)):
+            assert series[i] == rows[i]
+            assert type(series[i]) is engine.RoundMetrics
+        with pytest.raises(IndexError):
+            series[len(rows)]
+        for piece in (slice(1, None), slice(None, -3), slice(5, 40, 7), slice(-10, None)):
+            assert isinstance(series[piece], engine.Series)
+            assert list(series[piece]) == rows[piece]
+        assert engine.Series.from_rows(rows) == series
+        # == agrees with the rows' ==
+        other = list(engine.run(SimConfig(n=30, seed=4, e0=0.05)).series)
+        for a, b in ((rows, rows), (rows, other), (rows, rows[:-1]), (rows[1:], rows[:-1])):
+            assert (engine.Series.from_rows(a) == engine.Series.from_rows(b)) == (a == b)
+        assert series != rows  # a Series equals only a Series
+
+    def test_pickle_round_trip(self, run_and_rows):
+        result, rows = run_and_rows
+        back = pickle.loads(pickle.dumps(result.series))
+        assert back == result.series
+        assert list(back) == rows
+        assert [c.dtype for c in back.columns.values()] == [
+            c.dtype for c in result.series.columns.values()
+        ]
+
+    def test_count_columns_take_the_narrowest_type(self, run_and_rows):
+        result, _ = run_and_rows
+        *counts, residual = result.series.columns.values()
+        for column in counts:
+            assert column.dtype == np.min_scalar_type(int(column.max()))
+        assert residual.dtype == np.float64
+        assert list(result.series.columns) == list(engine.RoundMetrics._fields)
+
+    @pytest.mark.parametrize(
+        "largest, dtype",
+        [(0, np.uint8), (255, np.uint8), (256, np.uint16), (65535, np.uint16),
+         (65536, np.uint32), (2**32 - 1, np.uint32), (2**32, np.uint64)],
+    )
+    def test_column_type_follows_its_largest_value(self, largest, dtype):
+        rows = [engine.RoundMetrics(1, 0, 0, 0, 0, 0, 0, v, 0.5) for v in (0, largest)]
+        column = engine.Series.from_rows(rows).columns["packets_to_bs_cum"]
+        assert column.dtype == dtype
+        assert column.tolist() == [0, largest]
+
+    def test_empty_series(self):
+        series = engine.Series.from_rows([])
+        assert len(series) == 0
+        assert list(series) == []
+        assert series == engine.Series.from_rows(iter([]))
+
+    def test_result_built_from_rows_holds_a_series(self, run_and_rows):
+        result, rows = run_and_rows
+        rebuilt = dataclasses.replace(result, series=rows)
+        assert isinstance(rebuilt.series, engine.Series)
+        assert rebuilt == result
 
 
 class TestSingleClusterClosedForm:

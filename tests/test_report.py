@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsnsim.engine import RoundMetrics, RunResult, SummaryMetrics
+from wsnsim.engine import RoundMetrics, RunResult, Series, SummaryMetrics
 from wsnsim.model import ProtocolKind, SimConfig
 from wsnsim.report import (
     COMPARISON_COLUMNS,
+    MEAN_CURVES_COLUMNS,
     METRIC_NAMES,
     SERIES_COLUMNS,
     SUMMARY_COLUMNS,
     SWEEP_COLUMNS,
+    ProtocolAggregate,
     aggregate,
     write_comparison,
     write_mean_curves,
@@ -131,6 +133,32 @@ class TestSeriesSerialization:
         path = tmp_path_factory.mktemp("series") / "series.csv"
         write_series(series, path)
         assert path.read_bytes() == expected.getvalue().encode()
+
+    @given(
+        st.lists(
+            st.builds(
+                RoundMetrics,
+                # counts as a run makes them, across each column type's bounds
+                *[st.integers(0, 2**64 - 1)] * 8,
+                st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+            ),
+            max_size=20,
+        ),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_series_same_bytes_as_csv_writer(self, tmp_path_factory, rows, skip):
+        """A Series, and a slice of one, is written from its columns as
+        csv.writer writes its rows."""
+        series = Series.from_rows(rows)
+        for written, expected_rows in ((series, rows), (series[skip:], rows[skip:])):
+            expected = io.StringIO()
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow(SERIES_COLUMNS)
+            writer.writerows(expected_rows)
+            path = tmp_path_factory.mktemp("series") / "series.csv"
+            write_series(written, path)
+            assert path.read_bytes() == expected.getvalue().encode()
 
     def test_write_error_names_path(self, tmp_path):
         target = tmp_path / "missing_dir" / "series.csv"
@@ -255,6 +283,42 @@ class TestComparisonSerialization:
         assert len(rows) == 3 * 2  # three protocols, two rounds
         assert {row["protocol"] for row in rows} == {"leach", "sep", "dbcp"}
         assert rows[0]["round"] == "1"
+
+    @given(
+        st.lists(
+            st.sampled_from(list(ProtocolKind)), unique=True, min_size=1, max_size=3
+        ).flatmap(
+            lambda protocols: st.tuples(
+                st.just(protocols),
+                st.lists(
+                    st.lists(st.tuples(st.floats(), st.floats()), max_size=15),
+                    min_size=len(protocols),
+                    max_size=len(protocols),
+                ),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mean_curves_same_bytes_as_csv_writer(self, tmp_path_factory, case):
+        """Any floats, NaN, infinities and -0.0 among them."""
+        protocols, curves = case
+        comparison = {
+            proto: ProtocolAggregate(
+                n_seeds=1,
+                stats={},
+                alive_mean=[alive for alive, _ in curve],
+                packets_cum_mean=[cum for _, cum in curve],
+            )
+            for proto, curve in zip(protocols, curves)
+        }
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(MEAN_CURVES_COLUMNS)
+        for proto, curve in zip(protocols, curves):
+            writer.writerows([proto.value, i + 1, alive, cum] for i, (alive, cum) in enumerate(curve))
+        path = tmp_path_factory.mktemp("curves") / "mean_curves.csv"
+        write_mean_curves(comparison, path)
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_sweep_schema(self, tmp_path):
         entries = [(0.1, aggregate(default_trio())), (0.2, aggregate(default_trio()))]
