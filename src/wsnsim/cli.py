@@ -6,8 +6,9 @@ Subcommands:
     sweep    repeat compare while varying one heterogeneity parameter
 
 Configuration is a flat JSON object; every value can also be set (or
-overridden) by a flag of the same name.  Its keys, defaults, type checks and
-flags all come from SCHEMA, which is read off the SimConfig dataclass fields.
+overridden) by a flag of the same name.  Its keys are the SimConfig fields,
+and the flags are read off model.FIELD_TYPES; SimConfig fills in the
+defaults and checks every value.
 The fully resolved config is echoed into each output directory as
 config.json and re-running from that file reproduces the outputs byte for
 byte.
@@ -19,44 +20,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, replace
 from enum import Enum
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 from . import engine, report
-from .model import ProtocolKind, SimConfig, tier_counts, weighted_probabilities
+from .model import FIELD_TYPES, ProtocolKind, SimConfig, tier_counts, weighted_probabilities
 from .radio import crossover_distance
 
-
-@dataclass(frozen=True)
-class ConfigKey:
-    """One key of the flat config: the SimConfig field it sets, its value
-    type, whether None is allowed, and its default."""
-
-    name: str
-    type: type
-    optional: bool
-    default: object
-
-
-def _schema() -> list[ConfigKey]:
-    """The flat config surface: one key per SimConfig field, in order."""
-    hints = get_type_hints(SimConfig)
-    keys = []
-    for f in fields(SimConfig):
-        value_type = hints[f.name]
-        args = get_args(value_type)  # (float, NoneType) for `float | None`, () for a plain type
-        optional = type(None) in args
-        if optional:
-            (value_type,) = [a for a in args if a is not type(None)]
-        keys.append(ConfigKey(f.name, value_type, optional, f.default))
-    return keys
-
-
-SCHEMA = _schema()
-CONFIG_KEYS = [key.name for key in SCHEMA]
-DEFAULTS = {key.name: key.default for key in SCHEMA}
 
 # only `run` takes these; compare and sweep pair every protocol over a seed range
 PER_RUN_KEYS = ("protocol", "seed")
@@ -69,13 +40,14 @@ SWEEPABLE = ["m", "m0", "a", "b"]
 def parse_config(path: str | os.PathLike | None, overrides: dict | None = None) -> SimConfig:
     """Resolve defaults, optional config file, and flag overrides (in that
     precedence order, later wins) into a validated SimConfig."""
-    return _build_config(_resolve(path, overrides))
+    return SimConfig(**_resolve(path, overrides))
 
 
 def _resolve(path: str | os.PathLike | None, overrides: dict | None) -> dict:
-    """parse_config's values before validation: the defaults, updated from
-    the config file at `path` (read once), then from `overrides`."""
-    values = dict(DEFAULTS)
+    """parse_config's values before validation: those of the config file at
+    `path` (read once), updated from `overrides`; SimConfig supplies the
+    defaults for the keys left out."""
+    values = {}
     if path is not None:
         with open(path) as fh:
             try:
@@ -93,49 +65,19 @@ def _resolve(path: str | os.PathLike | None, overrides: dict | None) -> dict:
 def _update_known(values: dict, updates: dict, source: str) -> None:
     """values.update(updates), after rejecting any key that is not a config
     key; `source` names the updates in the error."""
-    unknown = sorted(set(updates) - set(CONFIG_KEYS))
+    unknown = sorted(set(updates) - set(FIELD_TYPES))
     if unknown:
         raise ValueError(f"unknown config {source}: {', '.join(unknown)}")
     values.update(updates)
 
 
-def _coerce(key: ConfigKey, value: object) -> object:
-    """`value` checked against the key's type and converted to it."""
-    if value is None and key.optional:
-        return None
-    if key.type is int:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        raise ValueError(f"{key.name} must be an integer, got {value!r}")
-    if issubclass(key.type, Enum):
-        if isinstance(value, key.type):
-            return value
-        try:
-            return key.type(str(value).lower())
-        except ValueError:
-            names = "|".join(e.value for e in key.type)
-            raise ValueError(f"{key.name} must be one of {names}, got {value!r}") from None
-    if (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max  # false for NaN, inf and ints past float range
-    ):
-        return float(value)
-    raise ValueError(f"{key.name} must be a finite number, got {value!r}")
-
-
-def _build_config(values: dict) -> SimConfig:
-    return SimConfig(**{key.name: _coerce(key, values[key.name]) for key in SCHEMA})
-
-
 def config_to_dict(config: SimConfig) -> dict:
     """Flat, fully resolved mapping; parse_config(the JSON dump) rebuilds an
     identical SimConfig."""
-    out = {}
-    for key in SCHEMA:
-        value = getattr(config, key.name)
-        out[key.name] = value.value if isinstance(value, Enum) else value
-    return out
+    return {
+        name: value.value if isinstance(value, Enum) else value
+        for name, value in asdict(config).items()
+    }
 
 
 def derived_values(config: SimConfig) -> dict:
@@ -223,7 +165,7 @@ def _parse_values(text: str) -> list[float]:
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
     overrides = {}
-    for key in CONFIG_KEYS:
+    for key in FIELD_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
@@ -234,14 +176,14 @@ def _add_config_flags(parser: argparse.ArgumentParser, with_seed: bool) -> None:
     parser.add_argument("--config", metavar="PATH", help="flat JSON config file")
     parser.add_argument("--out", metavar="DIR", required=True, help="output directory")
     g = parser.add_argument_group("config overrides")
-    for key in SCHEMA:
-        if key.name in PER_RUN_KEYS and not with_seed:
+    for name, (kind, _) in FIELD_TYPES.items():
+        if name in PER_RUN_KEYS and not with_seed:
             continue
-        flag = "--" + key.name.replace("_", "-")
-        if issubclass(key.type, Enum):
-            g.add_argument(flag, dest=key.name, choices=[e.value for e in key.type])
+        flag = "--" + name.replace("_", "-")
+        if issubclass(kind, Enum):
+            g.add_argument(flag, dest=name, choices=[e.value for e in kind])
         else:
-            g.add_argument(flag, dest=key.name, type=key.type)
+            g.add_argument(flag, dest=name, type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,7 +302,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # replaces may be out of range against pinned flags (e.g. --param a
     # --values 0 --b 0)
     resolved = _resolve(args.config, _collect_overrides(args))
-    points = [(value, _build_config({**resolved, args.param: value})) for value in args.values]
+    points = [(value, SimConfig(**{**resolved, args.param: value})) for value in args.values]
     configs = [c for _, sub_base in points for c in _compare_configs(sub_base, args.seeds)]
     out_dir = _prepare_out(args.out)
     # every point's runs in one batch, so one pool serves the whole sweep and
@@ -378,7 +320,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _print_mean_table(comparison)
     report.write_sweep(entries, out_dir / "sweep.csv")
     try:
-        _echo_config(_build_config(resolved), out_dir)
+        _echo_config(SimConfig(**resolved), out_dir)
     except ValueError:
         pass  # base never runs as-is; each point directory echoes its own
     return 0

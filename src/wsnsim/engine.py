@@ -42,14 +42,14 @@ PAIR_TABLE_MAX_NODES = 256
 DRAW_BLOCK = 8192
 
 # Rounds that run holds as RoundMetrics before converting them to columns,
-# and rows whose columns Series.tuples and report.write_mean_curves turn
-# into Python numbers at a time.  On one core of a 2-vCPU Xeon VM (Python
-# 3.11, tracemalloc), a default 10000-round run peaked at 0.95, 0.81, 0.84,
-# 0.92, 1.11 and 1.75 MiB with chunks of 64, 256, 512, 1024, 2048 and 4096
-# rounds, against 3.66 MiB holding every row, and its CPU time stayed at
-# 0.34-0.39 s (best of 3).  write_series of that run held 0.04, 0.07, 0.11,
-# 0.19, 0.35 and 0.66 MiB more at its peak, against 1.55 MiB converting
-# whole columns.  Smaller chunks join more pieces for no less peak.
+# and rows whose columns column_chunks turns into Python numbers at a time.
+# On one core of a 2-vCPU Xeon VM (Python 3.11, tracemalloc), a default
+# 10000-round run peaked at 0.95, 0.81, 0.84, 0.92, 1.11 and 1.75 MiB with
+# chunks of 64, 256, 512, 1024, 2048 and 4096 rounds, against 3.66 MiB
+# holding every row, and its CPU time stayed at 0.34-0.39 s (best of 3).
+# write_series of that run held 0.04, 0.07, 0.11, 0.19, 0.35 and 0.66 MiB
+# more at its peak, against 1.55 MiB converting whole columns.  Smaller
+# chunks join more pieces for no less peak.
 SERIES_CHUNK = 1024
 
 
@@ -66,6 +66,13 @@ class RoundMetrics(NamedTuple):
     packets_to_bs_round: int
     packets_to_bs_cum: int
     residual_energy_j: float
+
+
+def column_chunks(columns: Sequence[np.ndarray]) -> Iterator[list[list]]:
+    """Each SERIES_CHUNK rows of equal-length 1-D `columns`, as one list of
+    Python numbers per column."""
+    for start in range(0, len(columns[0]), SERIES_CHUNK):
+        yield [column[start : start + SERIES_CHUNK].tolist() for column in columns]
 
 
 class Series:
@@ -107,13 +114,9 @@ class Series:
     def tuples(self) -> Iterator[tuple]:
         """The rows as plain tuples of Python numbers: iteration without
         building a RoundMetrics per row."""
-        columns = list(self.columns.values())
-        # SERIES_CHUNK rows' Python numbers at a time: no name holds a
-        # chunk's lists, so they go once its zip is exhausted
-        return itertools.chain.from_iterable(
-            zip(*[column[start : start + SERIES_CHUNK].tolist() for column in columns])
-            for start in range(0, len(self), SERIES_CHUNK)
-        )
+        # no name holds a chunk's lists, so they go once its zip is exhausted
+        chunks = column_chunks(list(self.columns.values()))
+        return itertools.chain.from_iterable(itertools.starmap(zip, chunks))
 
     def __len__(self) -> int:
         return len(self.columns["round"])
@@ -246,11 +249,6 @@ class RunResult:
     energy_dissipated_j: float
     mean_member_to_head_m: float
     mean_head_to_bs_m: float
-
-    def __post_init__(self):
-        # rows given as a list, as a hand-built result may, become a Series
-        if not isinstance(self.series, Series):
-            object.__setattr__(self, "series", Series.from_rows(self.series))
 
 
 def _sequential_sum(

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -58,10 +59,13 @@ class SimConfig:
     max_rounds: int = 10000
 
     def __post_init__(self) -> None:
-        # non-finite floats first: NaN passes every range rule below
-        for name, value in vars(self).items():  # in field order
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        # types first, in field order, each value converted to its field's
+        # type: NaN passes every range rule below, and a string or None
+        # breaks them with a TypeError
+        for name, (kind, optional) in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if value is not None or not optional:
+                object.__setattr__(self, name, _checked(name, kind, value))
         # then radio, heterogeneity and the rest: a finite config that breaks
         # several rules reports the first, as the seed copy does
         for name in ("e_elec", "eps_fs", "eps_mp", "e_da", "d0_override"):
@@ -104,6 +108,54 @@ class SimConfig:
             object.__setattr__(self, "bs_x", self.field_width / 2.0)
         if self.bs_y is None:
             object.__setattr__(self, "bs_y", self.field_height / 2.0)
+
+
+def _field_types() -> dict[str, tuple[type, bool]]:
+    """Each SimConfig field's value type and whether it may be None, in
+    field order."""
+    hints = get_type_hints(SimConfig)
+    table = {}
+    for f in fields(SimConfig):
+        kind = hints[f.name]
+        optional = type(None) in get_args(kind)  # (float, NoneType) for `float | None`
+        if optional:
+            (kind,) = set(get_args(kind)) - {type(None)}
+        table[f.name] = (kind, optional)
+    return table
+
+
+# the config schema: the keys of the flat config, their value types and
+# their flags are read off this table
+FIELD_TYPES = _field_types()
+
+
+def _checked(name: str, kind: type, value: object) -> object:
+    """`value` checked against the field type `kind` and converted to it:
+    an int from any integral number, a float from any real number within
+    float range, an enum member from itself or its value in any case.
+    Booleans are no number here.  A plain int or float skips the abstract
+    class checks, which took about 0.5 us each."""
+    if kind is int:
+        if type(value) is int or (
+            isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        ):
+            return int(value)
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if issubclass(kind, Enum):
+        if isinstance(value, kind):
+            return value
+        try:
+            return kind(str(value).lower())
+        except ValueError:
+            names = "|".join(e.value for e in kind)
+            raise ValueError(f"{name} must be one of {names}, got {value!r}") from None
+    if type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        try:
+            if math.isfinite(number := float(value)):
+                return number
+        except OverflowError:  # an int past float range
+            pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)

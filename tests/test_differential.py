@@ -31,6 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wsnsim import cli, engine
+from wsnsim.model import SimConfig
 
 SEED_COPY = Path(__file__).resolve().parents[1] / "wsnbench" / "seed" / "wsnsim"
 
@@ -137,6 +138,22 @@ def test_per_round_path_matches_seed_copy(values):
         _assert_matches_seed_copy(values)
     finally:
         engine.PAIR_TABLE_MAX_NODES = saved
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(overrides())
+def test_config_checks_its_own_values_as_the_cli_does(values):
+    """SimConfig built from the values directly is the config the command
+    line parses from them, or both refuse them with the same text."""
+    def config_or_error(build):
+        try:
+            return build()
+        except ValueError as exc:
+            return str(exc)
+
+    assert config_or_error(lambda: SimConfig(**values)) == config_or_error(
+        lambda: cli.parse_config(None, values)
+    )
 
 
 @pytest.mark.parametrize("bits", [2**59, 2**63, 3**40], ids=["2**59", "2**63", "3**40"])

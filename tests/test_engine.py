@@ -579,12 +579,6 @@ class TestSeries:
         assert list(series) == []
         assert series == engine.Series.from_rows(iter([]))
 
-    def test_result_built_from_rows_holds_a_series(self, run_and_rows):
-        result, rows = run_and_rows
-        rebuilt = dataclasses.replace(result, series=rows)
-        assert isinstance(rebuilt.series, engine.Series)
-        assert rebuilt == result
-
 
 class TestSingleClusterClosedForm:
     def test_forced_single_cluster_matches_hand_ledger(self, make_deployment):

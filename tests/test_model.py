@@ -10,8 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wsnsim.engine import DRAW_BLOCK
-from wsnsim.model import NodeTier, SimConfig, WorkArrays, deploy, link_lengths, tier_counts, uniforms
+from wsnsim.engine import DRAW_BLOCK, run
+from wsnsim.model import (
+    NodeTier,
+    ProtocolKind,
+    SimConfig,
+    WorkArrays,
+    deploy,
+    link_lengths,
+    tier_counts,
+    uniforms,
+)
 
 
 class TestHeterogeneityParams:
@@ -78,6 +87,34 @@ class TestSimConfig:
         with pytest.raises(ValueError) as info:
             SimConfig(**{name: value})
         assert str(info.value) == f"{name} must be a finite number, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n": 10.0}, "n must be an integer, got 10.0"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"e0": "0.5"}, "e0 must be a finite number, got '0.5'"),
+            ({"protocol": "aodv"}, "protocol must be one of leach|sep|dbcp, got 'aodv'"),
+        ],
+        ids=["float_n", "bool_seed", "str_e0", "unknown_protocol"],
+    )
+    def test_wrong_type_rejected_with_cli_text(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            SimConfig(**kwargs)
+        assert str(info.value) == message
+
+    def test_protocol_name_runs_as_that_protocol(self):
+        assert run(SimConfig(protocol="leach")) == run(SimConfig(protocol=ProtocolKind.LEACH))
+        for kind in ProtocolKind:  # in any letter case
+            by_name = SimConfig(max_rounds=300, protocol=kind.value.upper())
+            assert by_name.protocol is kind
+            assert run(by_name) == run(SimConfig(max_rounds=300, protocol=kind))
+
+    def test_numpy_scalars_stored_as_python_numbers(self):
+        config = SimConfig(n=np.int64(20), e0=np.float32(0.5), seed=np.uint64(3), max_rounds=5)
+        assert (config.n, config.e0, config.seed) == (20, 0.5, 3)
+        assert (type(config.n), type(config.e0), type(config.seed)) == (int, float, int)
+        assert run(config) == run(SimConfig(n=20, e0=0.5, seed=3, max_rounds=5))
 
     def test_largest_packet_allowed(self):
         bits = int(sys.float_info.max)

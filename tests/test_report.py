@@ -45,10 +45,10 @@ def metrics_row(r, alive=4, packets=1, cum=None, residual=1.0):
 
 
 def make_run(protocol, seed, alive_curve, cum_curve, fnd=None, hnd=None, lnd=None):
-    series = [
+    series = Series.from_rows(
         metrics_row(i + 1, alive=a, cum=c)
         for i, (a, c) in enumerate(zip(alive_curve, cum_curve))
-    ]
+    )
     summary = SummaryMetrics(
         fnd_round=fnd,
         hnd_round=hnd,
@@ -110,7 +110,7 @@ class TestSeriesSerialization:
             metrics_row(3, residual=75.0 - 1.52e-4),
         ]
         path = tmp_path / "series.csv"
-        write_series(series, path)
+        write_series(Series.from_rows(series), path)
         with open(path, newline="") as fh:
             _, *rows = csv.reader(fh)
         # every field but the last (residual_energy_j) is an int
@@ -118,18 +118,18 @@ class TestSeriesSerialization:
 
     def test_empty_series_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_series([], path)
+        write_series(Series.from_rows([]), path)
         assert path.read_text() == ",".join(SERIES_COLUMNS) + "\n"
 
     def test_three_rounds_numbered(self, tmp_path):
         path = tmp_path / "three.csv"
-        write_series([metrics_row(r) for r in (1, 2, 3)], path)
+        write_series(Series.from_rows(metrics_row(r) for r in (1, 2, 3)), path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["round"] for row in rows] == ["1", "2", "3"]
 
     def test_identical_writes_byte_identical(self, tmp_path):
-        series = [metrics_row(1, residual=2.0 / 7.0)]
+        series = Series.from_rows([metrics_row(1, residual=2.0 / 7.0)])
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_series(series, a)
         write_series(series, b)
@@ -157,7 +157,7 @@ class TestSeriesSerialization:
         writer.writerow(SERIES_COLUMNS)
         writer.writerows(series)
         path = tmp_path_factory.mktemp("series") / "series.csv"
-        write_series(series, path)
+        write_series(Series.from_rows(series), path)
         assert path.read_bytes() == expected.getvalue().encode()
 
     @given(
@@ -189,7 +189,7 @@ class TestSeriesSerialization:
     def test_write_error_names_path(self, tmp_path):
         target = tmp_path / "missing_dir" / "series.csv"
         with pytest.raises(OSError, match="series.csv"):
-            write_series([metrics_row(1)], target)
+            write_series(Series.from_rows([metrics_row(1)]), target)
 
 
 class TestSummarySerialization:
@@ -250,6 +250,9 @@ class TestAggregate:
         leach = aggregate(runs)[ProtocolKind.LEACH]
         assert leach.alive_mean.tolist() == [4.0, 1.0, 0.5]
         assert leach.packets_cum_mean.tolist() == [1.5, 2.0, 2.5]
+        # equal curves of more than one round compare as arrays
+        assert aggregate(runs)[ProtocolKind.LEACH] == leach
+        assert aggregate(runs[:1])[ProtocolKind.LEACH] != leach
 
     def test_permutation_invariant(self):
         runs = default_trio(1) + default_trio(2)
