@@ -56,14 +56,15 @@ def distance_factor(d, d_avg: float):
         return np.where(d < d_avg, 1.0 - d / d_avg, 1.0)[()]
 
 
-def threshold(tier_thresholds, tier, factor, eligible) -> np.ndarray:
+def threshold(tier_thresholds, tier, factor) -> np.ndarray:
     """The election threshold rule, for many nodes at once: the rotating
     threshold of each node's tier (`tier_thresholds`, one sep_threshold per
-    tier for the round), times the node's distance factor, or 0 for a node
-    not eligible.  `tier`, `factor` and `eligible` hold one entry per node;
-    leach and sep use factor 1, so the product is the tier threshold itself.
+    tier for the round), times the node's distance factor.  `tier` and
+    `factor` hold one entry per node; leach and sep use factor 1, so the
+    product is the tier threshold itself.  A node that already served this
+    epoch is not elected whatever its threshold (elect_heads).
     """
-    return np.where(eligible, np.asarray(tier_thresholds)[tier] * factor, 0.0)
+    return np.asarray(tier_thresholds)[tier] * factor
 
 
 def election_rule(
@@ -85,29 +86,30 @@ def election_rule(
 def elect_heads(state, alive: np.ndarray, r: int, draws) -> np.ndarray:
     """Take one uniform per node of `alive` (ascending ids) from `draws`, in
     that order; a node becomes head iff its draw falls below its election
-    threshold.  Elected nodes are marked ineligible for the remainder of
-    their tier epoch.  Returns the head ids in ascending order.
+    threshold and it is eligible.  Elected nodes are marked ineligible for
+    the remainder of their tier epoch.  Returns the head ids in ascending
+    order.
 
-    `state` is the run's node table (engine.EngineState): per-tier rotation
-    pair, per-node tier, distance factor and first round of renewed
-    eligibility.  `draws` serves the run's uniforms k at a time through
-    `take(k)` (engine.DrawStream).
+    `state` is the run's node table (engine.EngineState), and `alive` its
+    alive ids: per-tier rotation pair, first round of renewed eligibility
+    by node id, and the alive nodes' tiers and distance factors in alive
+    order.  `draws` serves the run's uniforms k at a time through `take(k)`
+    (engine.DrawStream).
     """
     # every alive node draws, eligible or not (determinism contract)
     u = draws.take(len(alive))
-    tier = state.tier[alive]
-    t = threshold(
-        [sep_threshold(pair, r) for pair in state.rotation],
-        tier,
-        state.factor[alive],
-        r >= state.eligible_from[alive],
-    )
-    elected = u < t
-    heads = alive[elected]
+    tier = state.alive_tier
+    thresholds = [sep_threshold(pair, r) for pair in state.rotation]
+    elected = u < threshold(thresholds, tier, state.alive_factor)
+    # draws are never negative, so masking here elects exactly the nodes
+    # that a threshold of 0 for the ineligible would
+    elected &= state.eligible_from[alive] <= r
+    at = elected.nonzero()[0]
+    heads = alive[at]
     if len(heads):
         # the first round of each tier's next epoch
         renewed = [r - r % epoch + epoch for _, epoch in state.rotation]
-        state.eligible_from[heads] = np.array(renewed)[tier[elected]]
+        state.eligible_from[heads] = np.array(renewed)[tier[at]]
     return heads
 
 
@@ -283,19 +285,24 @@ def form_clusters(
     heads at all the second item is None: every alive node is unclustered.
 
     `d2`, if given, is every node pair's squared_distances, built once per
-    run; the nearest head is then the first minimum of its member x head
-    block.  Otherwise rounds with fewer than GRID_MIN_PAIRS member x head
+    run; the nearest head is then the first minimum down the member's
+    column of the heads' rows.  Otherwise rounds with fewer than GRID_MIN_PAIRS member x head
     pairs compare every member with every head (_nearest_dense); larger ones
     search a cell grid (_nearest_grid) that gives the same assignment, in
     the run's `work` arrays if given.
     """
     if not len(heads):
         return alive, None
-    is_head = np.zeros(len(x), dtype=bool)
-    is_head[heads] = True
-    members = alive[~is_head[alive]]
+    keep = np.zeros(len(x), dtype=bool)
+    keep[alive] = True
+    keep[heads] = False
+    members = keep.nonzero()[0]
     if d2 is not None:
-        return members, d2.take(heads, axis=1).take(members, axis=0).argmin(axis=1)
+        # d2 is exactly symmetric, so a head's row holds its column; the
+        # first minimum down a column is the lowest-index tie.  Taking every
+        # node's and keeping the members' cost less than cutting out the
+        # members' columns first.
+        return members, d2.take(heads, axis=0).argmin(axis=0)[members]
     mx, my, hx, hy = x[members], y[members], x[heads], y[heads]
     if len(members) * len(heads) >= GRID_MIN_PAIRS:
         return members, _nearest_grid(mx, my, hx, hy, work)

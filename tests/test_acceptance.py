@@ -121,8 +121,8 @@ def test_criterion_3_threshold_properties():
     # every draw is one node, of a tier of its own: the rule unscaled (leach,
     # sep) and with the dbcp distance factor
     node = np.arange(len(ramp))
-    s = threshold(ramp, node, 1.0, True)
-    d = threshold(ramp, node, distance_factor(d_i, d_avg), True)
+    s = threshold(ramp, node, 1.0)
+    d = threshold(ramp, node, distance_factor(d_i, d_avg))
     bounds_bad = int(np.count_nonzero(~((0.0 <= s) & (s <= 1.0) & (0.0 <= d) & (d <= 1.0))))
     order_bad = int(np.count_nonzero(d > s))
     equality_bad = int(np.count_nonzero((d == s) != ((d_i >= d_avg) | (d_i == 0.0))))
@@ -155,7 +155,7 @@ def test_criterion_4_election_oracle():
         else:
             rates = weighted_probabilities(config)
         tier_thresholds = [sep_threshold(rotation(p), 0) for p in rates]
-        thresholds = threshold(tier_thresholds, state.tier, state.factor, True).tolist()
+        thresholds = threshold(tier_thresholds, state.tier, state.factor).tolist()
         expected = sum(thresholds)
         # heads are independent Bernoulli draws in round 0, so the empirical
         # mean over `trials` draws has standard error sqrt(sum t(1-t)/trials)

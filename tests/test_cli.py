@@ -146,6 +146,14 @@ class TestRunCommand:
         assert (first / "summary.csv").read_bytes() == (second / "summary.csv").read_bytes()
         assert (first / "config.json").read_bytes() == (second / "config.json").read_bytes()
 
+    def test_ill_typed_config_file_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, n=True)
+        out = tmp_path / "x"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: n must be an integer, got True\n"
+        assert not out.exists()
+
     def test_validation_error_exit_code(self, tmp_path, capsys):
         code = main(["run", "--out", str(tmp_path / "x"), "--m0", "0.5", "--m", "0.2"])
         assert code == 2

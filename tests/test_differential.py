@@ -27,6 +27,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -140,20 +141,86 @@ def test_per_round_path_matches_seed_copy(values):
         engine.PAIR_TABLE_MAX_NODES = saved
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(overrides())
-def test_config_checks_its_own_values_as_the_cli_does(values):
-    """SimConfig built from the values directly is the config the command
-    line parses from them, or both refuse them with the same text."""
-    def config_or_error(build):
-        try:
-            return build()
-        except ValueError as exc:
-            return str(exc)
+FIELD_ORDER = [f.name for f in dataclasses.fields(SimConfig)]
+INT_FIELDS = ("n", "packet_bits", "seed", "max_rounds")
+NONE_ALLOWED = ("bs_x", "bs_y", "d0_override")
+PROTOCOL_NAMES = ("leach", "sep", "dbcp")
 
-    assert config_or_error(lambda: SimConfig(**values)) == config_or_error(
-        lambda: cli.parse_config(None, values)
-    )
+
+def type_error(name: str, value) -> str:
+    """The text SimConfig refuses `value` for field `name` with: the text
+    the command line has always printed for it."""
+    if name in INT_FIELDS:
+        return f"{name} must be an integer, got {value!r}"
+    if name == "protocol":
+        return f"protocol must be one of leach|sep|dbcp, got {value!r}"
+    return f"{name} must be a finite number, got {value!r}"
+
+
+def ill_typed(name: str):
+    """Values the type of field `name` refuses: booleans (Python's and
+    numpy's), strings, None where the field has no None default, floats
+    and float32s for integer fields, and non-finite floats and ints past
+    float range for float fields."""
+    kinds = [st.booleans(), st.sampled_from([np.True_, np.False_]), st.text(max_size=6)]
+    if name not in NONE_ALLOWED:
+        kinds.append(st.none())
+    if name in INT_FIELDS:
+        kinds += [st.floats(allow_nan=False), st.floats(-1e6, 1e6).map(np.float32)]
+    elif name != "protocol":
+        kinds += [
+            st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+            st.integers(2**1024, 2**1100) | st.integers(-(2**1100), -(2**1024)),
+        ]
+    values = st.one_of(kinds)
+    if name == "protocol":  # a protocol name in any case is well typed
+        values = values.filter(lambda v: str(v).lower() not in PROTOCOL_NAMES)
+    return values
+
+
+def as_numpy_scalar(draw, name: str, value):
+    """`value` as a numpy scalar the field's type accepts, and the Python
+    number SimConfig must store for it."""
+    if name in INT_FIELDS:
+        return np.int64(value), int(value)
+    scalar = draw(st.sampled_from([np.float32, np.float64]))(value)
+    return scalar, float(scalar)
+
+
+def _config_or_error(values: dict):
+    try:
+        return SimConfig(**values)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(overrides(), st.data())
+def test_config_checks_its_own_values_as_the_cli_does(values, data):
+    """Ill-typed values and numpy scalars mixed into a drawn config.  Any
+    ill-typed value is refused with its field's text, the first in field
+    order, before any range rule.  Without one, numpy integers and floats
+    are stored as Python ints and floats: the config is the one their
+    Python numbers give, or both are refused with the same text."""
+    values = dict(values)
+    numbers = [k for k in FIELD_ORDER if k != "protocol" and values.get(k) is not None]
+    python = dict(values)
+    scalars = data.draw(st.lists(st.sampled_from(numbers), unique=True, max_size=3))
+    for name in scalars:
+        values[name], python[name] = as_numpy_scalar(data.draw, name, values[name])
+    bad = data.draw(st.lists(st.sampled_from(FIELD_ORDER), unique=True, max_size=2))
+    for name in bad:
+        values[name] = data.draw(ill_typed(name))
+
+    outcome = _config_or_error(values)
+    if bad:
+        first = min(bad, key=FIELD_ORDER.index)
+        assert outcome == type_error(first, values[first])
+        return
+    assert outcome == _config_or_error(python)
+    if isinstance(outcome, SimConfig):
+        for name in scalars:
+            assert type(getattr(outcome, name)) is type(python[name])
 
 
 @pytest.mark.parametrize("bits", [2**59, 2**63, 3**40], ids=["2**59", "2**63", "3**40"])

@@ -18,10 +18,10 @@ from wsnsim.model import NodeTier, ProtocolKind, SimConfig, deploy, weighted_pro
 from wsnsim.protocols import distance_factor, elect_heads, rotation, sep_threshold, threshold
 
 
-def dbcp_threshold(p, r, eligible, d_i, d_avg):
+def dbcp_threshold(p, r, d_i, d_avg):
     """The election threshold rule for one node of rate p, with the dbcp
     distance factor."""
-    return threshold([sep_threshold(rotation(p), r)], 0, distance_factor(d_i, d_avg), eligible)
+    return threshold([sep_threshold(rotation(p), r)], 0, distance_factor(d_i, d_avg))
 
 
 def _config_or_none(**fields):
@@ -125,9 +125,6 @@ class TestSepThreshold:
         # the naive p/(1 - p*(r%epoch)) form lands at 0.999..9 here
         assert sep_threshold(rotation(1.0 / 3.0), 2) == 1.0
 
-    def test_ineligible_is_zero(self):
-        assert threshold([sep_threshold(rotation(0.1), 5)], 0, 1.0, False) == 0.0
-
     def test_epoch_wraps(self):
         assert sep_threshold(rotation(0.1), 10) == sep_threshold(rotation(0.1), 0)
         assert sep_threshold(rotation(0.1), 19) == 1.0
@@ -153,17 +150,17 @@ class TestSepThreshold:
 
 class TestDbcpThreshold:
     def test_halfway_node_scaled(self):
-        assert dbcp_threshold(0.1, 0, True, 20.0, 40.0) == pytest.approx(0.05, rel=1e-12)
+        assert dbcp_threshold(0.1, 0, 20.0, 40.0) == pytest.approx(0.05, rel=1e-12)
 
     def test_at_average_unscaled(self):
-        assert dbcp_threshold(0.1, 0, True, 40.0, 40.0) == 0.1
+        assert dbcp_threshold(0.1, 0, 40.0, 40.0) == 0.1
 
     def test_at_base_station_unscaled(self):
-        assert dbcp_threshold(0.1, 0, True, 0.0, 40.0) == 0.1
+        assert dbcp_threshold(0.1, 0, 0.0, 40.0) == 0.1
 
     def test_beyond_average_equals_sep(self):
         for r in range(12):
-            assert dbcp_threshold(0.1, r, True, 55.0, 40.0) == sep_threshold(rotation(0.1), r)
+            assert dbcp_threshold(0.1, r, 55.0, 40.0) == sep_threshold(rotation(0.1), r)
 
     @given(
         p=st.floats(min_value=0.01, max_value=0.9),
@@ -173,7 +170,7 @@ class TestDbcpThreshold:
     )
     def test_never_exceeds_sep(self, p, r, d_avg, ratio):
         d_i = ratio * d_avg
-        assert dbcp_threshold(p, r, True, d_i, d_avg) <= sep_threshold(rotation(p), r)
+        assert dbcp_threshold(p, r, d_i, d_avg) <= sep_threshold(rotation(p), r)
 
     @given(
         p=st.floats(min_value=0.01, max_value=0.9),
@@ -183,7 +180,7 @@ class TestDbcpThreshold:
     )
     def test_strictly_below_sep_in_near_region(self, p, r, d_avg, ratio):
         base = sep_threshold(rotation(p), r)
-        assert dbcp_threshold(p, r, True, ratio * d_avg, d_avg) < base
+        assert dbcp_threshold(p, r, ratio * d_avg, d_avg) < base
 
     @given(
         p=st.floats(min_value=0.01, max_value=0.9),
@@ -193,12 +190,9 @@ class TestDbcpThreshold:
     )
     def test_strictly_decreasing_in_distance_near_region(self, p, d_avg, r1, step):
         assume(r1 + step < 1.0)
-        near = dbcp_threshold(p, 0, True, r1 * d_avg, d_avg)
-        far = dbcp_threshold(p, 0, True, (r1 + step) * d_avg, d_avg)
+        near = dbcp_threshold(p, 0, r1 * d_avg, d_avg)
+        far = dbcp_threshold(p, 0, (r1 + step) * d_avg, d_avg)
         assert far < near
-
-    def test_ineligible_is_zero(self):
-        assert dbcp_threshold(0.1, 3, False, 10.0, 40.0) == 0.0
 
 
 # rates whose inverse is an integer, and rates within a few 1e-9 of one,

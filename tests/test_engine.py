@@ -220,6 +220,20 @@ class TestPairTables:
                 assert pairs.tx[i, j] == tx_energy(config, link)
         assert pairs.d2.tolist() == squared_distances(nodes.x, nodes.y, nodes.x, nodes.y).tolist()
 
+    def test_squared_distances_exactly_symmetric(self, make_deployment):
+        """(a-b)**2 == (b-a)**2 in IEEE arithmetic, so form_clusters may read
+        a head's row of d2 for its column: on a random deployment and on one
+        whose nodes share five spots."""
+        rng = random.Random(6)
+        spots = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(5)]
+        deployments = [
+            deploy(SimConfig(n=200), random.Random(6)),
+            make_deployment([spots[i % 5] for i in range(40)]),
+        ]
+        for nodes in deployments:
+            d2 = initial_state(SimConfig(n=len(nodes.x)), nodes).pairs.d2
+            assert np.array_equal(d2, d2.T)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_rounds_identical_on_both_paths(self, monkeypatch, seed):
         config = SimConfig(n=60, seed=seed, packet_bits=3000, e0=0.01)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wsnsim import protocols
-from wsnsim.engine import DrawStream, initial_state
+from wsnsim.engine import DrawStream, initial_state, simulate_round
 from wsnsim.model import NodeTier, ProtocolKind, SimConfig, WorkArrays, deploy, weighted_probabilities
 from wsnsim.protocols import (
     _nearest_dense,
@@ -23,6 +23,7 @@ from wsnsim.protocols import (
     form_clusters,
     rotation,
     sep_threshold,
+    squared_distances,
     stable_order,
     threshold,
 )
@@ -47,14 +48,14 @@ def epochs_of(state):
 
 def thresholds_of(state, r):
     """Every node's election threshold in round r, through the one rule, at
-    the tier rates of the state's config."""
+    the tier rates of the state's config, eligible or not."""
     config = state.config
     if config.protocol is ProtocolKind.LEACH:
         rates = (config.p_opt,) * len(NodeTier)
     else:
         rates = weighted_probabilities(config)
     tier_thresholds = [sep_threshold(rotation(p), r) for p in rates]
-    return threshold(tier_thresholds, state.tier, state.factor, r >= state.eligible_from)
+    return threshold(tier_thresholds, state.tier, state.factor)
 
 
 def reference_threshold(protocol, tier, d, d_avg, r, eligible, probs=PROBS, p_opt=P_OPT):
@@ -157,13 +158,6 @@ class TestThresholdFor:
             )
             assert t_sep == t_leach
 
-    def test_ineligible_node_threshold_zero(self):
-        state = state_for(ProtocolKind.SEP, deployed_network(n=3))
-        state.eligible_from[0] = 15  # as if elected in round 0
-        t = thresholds_of(state, 1)
-        assert t[0] == 0.0
-        assert (t[1:] > 0.0).all()
-
 
 class TestElectHeads:
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
@@ -208,13 +202,52 @@ class TestElectHeads:
     def test_dead_nodes_never_elected_and_draw_nothing(self):
         nodes = deployed_network(n=12, seed=8)
         state = state_for(ProtocolKind.SEP, nodes)
-        alive = np.array([i for i in range(12) if i != 4])
+        state.set_alive(np.array([i for i in range(12) if i != 4]))
+        alive = state.alive
         draws = DrawStream(random.Random(21))
         heads = elect_heads(state, alive, 0, draws).tolist()
         reference = ReferenceElection(ProtocolKind.SEP, nodes, random.Random(21))
         assert heads == reference.elect(alive.tolist(), 0)
         assert 4 not in heads
         assert draws.take(1)[0] == reference.rng.random()  # 11 draws each
+
+    def test_alive_table_follows_deaths(self, make_deployment):
+        """Three nodes die in one round, a fourth in a zero-head round; after
+        each, the alive-order table equals a fresh gather by the alive ids,
+        and the next election matches the reference over the survivors."""
+        tiers = [NodeTier.NORMAL, NodeTier.ADVANCED, NodeTier.SUPER, NodeTier.NORMAL] * 2
+        coords = [(50.0 + 6.0 * i, 50.0 - 5.0 * i) for i in range(8)]
+        energies = [1.0, 1.0, 1e-12, 1.0, 1e-12, 1.0, 1.0, 1e-12]
+        nodes = make_deployment(coords, tiers, energies)
+        state = state_for(ProtocolKind.DBCP, nodes)
+        assert len(set(state.factor.tolist())) > 1
+        reference = ReferenceElection(ProtocolKind.DBCP, nodes, random.Random(3))
+        draws = DrawStream(random.Random(3))
+
+        def table_is_fresh():
+            assert state.alive_tier.tolist() == state.tier[state.alive].tolist()
+            assert state.alive_factor.tolist() == state.factor[state.alive].tolist()
+            counts = np.bincount(state.tier[state.alive], minlength=len(NodeTier))
+            assert state.alive_by_tier == counts.tolist()
+
+        metrics = simulate_round(state, 0, draws)
+        assert metrics.head_count == len(reference.elect(range(8), 0))
+        assert state.alive.tolist() == [0, 1, 3, 5, 6]
+        table_is_fresh()
+
+        state.eligible_from[:] = 10**9
+        reference.eligible_from = dict.fromkeys(range(8), 10**9)
+        state.energy[5] = 1e-12
+        metrics = simulate_round(state, 1, draws)
+        assert metrics.head_count == 0 == len(reference.elect([0, 1, 3, 5, 6], 1))
+        assert state.alive.tolist() == [0, 1, 3, 6]
+        table_is_fresh()
+
+        state.eligible_from[:] = 0
+        reference.eligible_from = {}
+        for r in range(2, 12):
+            expected = reference.elect(state.alive.tolist(), r)
+            assert elect_heads(state, state.alive, r, draws).tolist() == expected
 
     def test_elected_nodes_marked_ineligible(self):
         state = state_for(ProtocolKind.SEP, deployed_network(n=50, seed=2))
@@ -224,8 +257,19 @@ class TestElectHeads:
 
 
 def clusters(make_deployment, coords, alive, heads):
+    """form_clusters over the nodes at `coords`, on both of its branches:
+    measuring each round, and looking up the run's pair table of squared
+    distances.  The two must return the same clusters."""
     nodes = make_deployment(coords)
-    return form_clusters(np.array(alive), np.array(heads, dtype=np.intp), nodes.x, nodes.y)
+    args = np.array(alive, dtype=np.intp), np.array(heads, dtype=np.intp), nodes.x, nodes.y
+    members, head_of = form_clusters(*args)
+    d2 = squared_distances(nodes.x, nodes.y, nodes.x, nodes.y)
+    table_members, table_head_of = form_clusters(*args, d2)
+    assert table_members.tolist() == members.tolist()
+    assert (table_head_of is None) == (head_of is None)
+    if head_of is not None:
+        assert table_head_of.tolist() == head_of.tolist()
+    return members, head_of
 
 
 class TestFormClusters:
