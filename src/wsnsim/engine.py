@@ -164,10 +164,10 @@ class EngineState:
     """The node table of one run, every array indexed by node id, and the
     run's running totals.
 
-    `alive` holds the ids of the alive nodes in ascending order, and
-    `alive_tier`, `alive_factor` and `alive_by_tier` the columns a round
-    reads of them, in the same order: set_alive gathers them whenever
-    `alive` is set, so a round does not.  A node may
+    `alive` holds the ids of the alive nodes in ascending order,
+    `alive_tier` and `alive_factor` their tiers and distance factors in the
+    same order, and `alive_by_tier` the alive count of each tier: set_alive
+    gathers them whenever `alive` is set, so a round does not.  A node may
     be elected again from round `eligible_from[i]` on.  `rotation` holds the
     rotation pair (1/p, epoch) of each tier's election rate p (NodeTier
     order); `factor` is each node's dbcp distance factor, 1 under leach and
