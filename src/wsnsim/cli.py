@@ -102,9 +102,16 @@ def _echo_config(config: SimConfig, out_dir: Path) -> None:
 def run_batch(configs: list[SimConfig], workers: int | None = None) -> list[engine.RunResult]:
     """Run many configs, optionally across processes.  Results come back in
     input order; each run owns its rng, so scheduling cannot change outputs.
+    By default a batch starts one worker per CPU it may use, so a batch
+    pinned to one CPU runs in this process and never loads the pool.
     A pool that breaks, as when a worker is killed, raises ChildProcessError."""
     if workers is None:
-        workers = os.cpu_count() or 1
+        # the CPUs this process may run on; sched_getaffinity is missing on
+        # some platforms (os.process_cpu_count is Python 3.13+)
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = os.cpu_count() or 1
     workers = min(workers, len(configs))
     if workers <= 1:
         return [engine.run(c) for c in configs]
@@ -209,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", type=_parse_seed_range, default=list(range(1, 11)),
                        help="inclusive seed range a..b (default 1..10)")
         p.add_argument("--workers", type=_parse_workers, default=None,
-                       help="parallel worker processes (default: cpu count)")
+                       help="parallel worker processes (default: CPUs this process may use)")
     return parser
 
 

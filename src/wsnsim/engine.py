@@ -19,7 +19,14 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .model import Deployment, NodeTier, SimConfig, WorkArrays, deploy, link_lengths, uniforms
-from .protocols import elect_heads, election_rule, form_clusters, squared_distances, stable_order
+from .protocols import (
+    ElectionWindow,
+    elect_heads,
+    election_rule,
+    form_clusters,
+    squared_distances,
+    stable_order,
+)
 from .radio import aggregation_energy, rx_energy, tx_energy
 
 # Largest network for which initial_state builds the PairTables.  On one core
@@ -152,11 +159,13 @@ class PairTables(NamedTuple):
     """Node x node tables of a run's fixed geometry, entry [i, j] for the
     pair (i, j): the squared distance form_clusters compares, the link
     length link_lengths measures, and tx_energy over that link for the
-    run's packet_bits."""
+    run's packet_bits.  `row[i]` is i * n, where row i starts in the
+    flattened tables."""
 
     d2: np.ndarray
     link: np.ndarray
     tx: np.ndarray
+    row: np.ndarray
 
 
 @dataclass
@@ -170,15 +179,18 @@ class EngineState:
     gathers them whenever `alive` is set, so a round does not.  A node may
     be elected again from round `eligible_from[i]` on.  `rotation` holds the
     rotation pair (1/p, epoch) of each tier's election rate p (NodeTier
-    order); `factor` is each node's dbcp distance factor, 1 under leach and
-    sep; `bs_cost` is each node's transmit cost to the base station;
+    order) and `election_window` their election rule over the window of
+    rounds the last election fell in; `factor` is each node's dbcp distance
+    factor, 1 under leach and sep; `bs_cost` is each node's transmit cost to
+    the base station;
     `fuse_cost[k]` is what a head pays to receive k members and fuse k+1
     signals; `pairs` holds the PairTables of a network of at most
     PAIR_TABLE_MAX_NODES nodes, else None, and `work` the WorkArrays that
     larger networks' rounds write their grid search's slabs, member link
-    lengths and running sums into, else None.  All but `energy`, the alive
-    columns, `eligible_from`, `work` and the totals are fixed at
-    initial_state.
+    lengths and running sums into, else None.  `ramp` holds 0, 1, ..., n-1,
+    which a round slices instead of building an arange.  All but `energy`,
+    the alive columns, `eligible_from`, `election_window`, `work` and the
+    totals are fixed at initial_state.
     """
 
     config: SimConfig
@@ -196,9 +208,11 @@ class EngineState:
     pairs: PairTables | None
     work: WorkArrays | None
     d_avg: float
+    ramp: np.ndarray
     alive_tier: np.ndarray = field(init=False)
     alive_factor: np.ndarray = field(init=False)
     alive_by_tier: list[int] = field(init=False)
+    election_window: ElectionWindow = field(init=False)
     packets_cum: int = 0
     energy_dissipated: float = 0.0
     member_distance_sum: float = 0.0
@@ -208,6 +222,8 @@ class EngineState:
 
     def __post_init__(self):
         self.set_alive(self.alive)
+        # covers no round, so the first election builds the first window
+        self.election_window = ElectionWindow(0, np.empty((0, 0)), np.empty((0, 0), np.int64))
 
     def set_alive(self, alive: np.ndarray) -> None:
         """Make `alive` (ascending ids) the alive nodes and gather their
@@ -288,10 +304,12 @@ def _mean(total: float, count: int) -> float:
 def pair_tables(config: SimConfig, x: np.ndarray, y: np.ndarray) -> PairTables:
     """The PairTables of nodes at (x, y).  math.hypot ignores the signs of
     its arguments, so each link is measured once and mirrored."""
-    i, j = np.triu_indices(len(x), 1)
-    link = np.zeros((len(x), len(x)))
+    n = len(x)
+    i, j = np.triu_indices(n, 1)
+    link = np.zeros((n, n))
     link[i, j] = link[j, i] = link_lengths(x[i] - x[j], y[i] - y[j])
-    return PairTables(squared_distances(x, y, x, y), link, tx_energy(config, link))
+    d2 = squared_distances(x, y, x, y)
+    return PairTables(d2, link, tx_energy(config, link), np.arange(0, n * n, n))
 
 
 def transmission_costs(
@@ -315,19 +333,27 @@ def transmission_costs(
         return Ledger(members, state.bs_cost[members], np.empty(0))
     n_members = np.bincount(head_of, minlength=len(heads))
     head_costs = state.fuse_cost[n_members] + state.bs_cost[heads]
-    if state.pairs is not None:
-        at = members * len(state.x) + heads[head_of]
-        links, member_costs = state.pairs.link.take(at), state.pairs.tx.take(at)
+    head_ids = heads[head_of]
+    # member j keyed by head_of[j], head k by k; stable keeps members first
+    keys = np.concatenate((head_of, state.ramp[: len(heads)]))
+    pairs = state.pairs
+    if pairs is not None:
+        at = pairs.row[members]
+        at += head_ids
+        links, member_costs = pairs.link.take(at), pairs.tx.take(at)
+        # on at most PAIR_TABLE_MAX_NODES keys, narrowing them for a radix
+        # sort costs more than it saves
+        order = keys.argsort(kind="stable")
     else:
-        head_ids = heads[head_of]
         dx, dy = state.x[members] - state.x[head_ids], state.y[members] - state.y[head_ids]
         links = link_lengths(dx, dy, state.work)
         member_costs = tx_energy(state.config, links)
-    # member j keyed by head_of[j], head k by k; stable keeps members first
-    order = stable_order(np.concatenate((head_of, np.arange(len(heads)))), len(heads))
+        order = stable_order(keys, len(heads))
     ids = np.concatenate((members, heads))[order]
     costs = np.concatenate((member_costs, head_costs))[order]
-    return Ledger(ids, costs, links[order[order < len(members)]])
+    # compared with a 0-d view of the ramp: numpy converts a Python int
+    # operand on every call
+    return Ledger(ids, costs, links[order[order < state.ramp[len(members), ...]]])
 
 
 def simulate_round(state: EngineState, r: int, draws: DrawStream) -> RoundMetrics:
@@ -358,10 +384,13 @@ def simulate_round(state: EngineState, r: int, draws: DrawStream) -> RoundMetric
 
     packets = len(heads) or len(alive)
     state.packets_cum += packets
-    state.member_distance_sum += _sequential_sum(ledger.links, state.work)
-    state.member_count += len(ledger.links)
-    state.head_distance_sum += _sequential_sum(state.d_bs[heads])
-    state.head_count_total += len(heads)
+    if len(heads):
+        # a zero-head round has no links and no heads: both sums would add
+        # exactly 0.0 to totals that are never -0.0
+        state.member_distance_sum += _sequential_sum(ledger.links, state.work)
+        state.member_count += len(ledger.links)
+        state.head_distance_sum += _sequential_sum(state.d_bs[heads])
+        state.head_count_total += len(heads)
 
     return RoundMetrics(
         r + 1,
@@ -384,7 +413,7 @@ def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
     n = len(nodes.x)
     d_avg = _sequential_sum(nodes.d_bs) / n
     rotation, factor = election_rule(config, nodes.d_bs, d_avg)
-    k = np.arange(n)  # a head's member count
+    k = np.arange(n)  # a head's member count, and the run's ramp
     pairs = pair_tables(config, nodes.x, nodes.y) if n <= PAIR_TABLE_MAX_NODES else None
     return EngineState(
         config=config,
@@ -402,6 +431,7 @@ def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
         pairs=pairs,
         work=WorkArrays() if pairs is None else None,
         d_avg=d_avg,
+        ramp=k,
     )
 
 

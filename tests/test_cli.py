@@ -610,6 +610,71 @@ def test_one_worker_batch_leaves_the_pool_stack_unimported(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+def test_batch_on_one_cpu_runs_in_process_by_default(tmp_path):
+    """With no worker count, a process that may use one CPU runs its batch
+    itself: no fork and no pool import."""
+    code = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "from wsnsim.cli import run_batch\n"
+        "from wsnsim.model import SimConfig\n"
+        "results = run_batch([SimConfig(n=20, max_rounds=5, seed=s) for s in range(1, 5)])\n"
+        "assert [r.config.seed for r in results] == [1, 2, 3, 4]\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+
+
+class _StubPool:
+    """Stands in for ProcessPoolExecutor: records its worker count and maps
+    in this process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        _StubPool.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "affinity, cpu_count, expected",
+    [({0, 1}, 8, [2]), ({0, 1, 2}, 8, [3]), (None, 3, [3]), (None, None, [])],
+    ids=["two-cpus", "three-cpus", "no-affinity", "no-cpu-count"],
+)
+def test_default_workers_follow_the_usable_cpus(affinity, cpu_count, expected, monkeypatch):
+    """The default pool has one worker per CPU in the process's affinity set;
+    where the platform has no affinity call, one per CPU of the machine, and
+    none at all (a batch in process) if that count is unknown."""
+    import concurrent.futures
+
+    monkeypatch.setattr(_StubPool, "max_workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StubPool)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    configs = [SimConfig(n=20, max_rounds=5, seed=s) for s in range(1, 6)]
+    results = run_batch(configs)
+    assert [r.config.seed for r in results] == [1, 2, 3, 4, 5]
+    assert _StubPool.max_workers == expected
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "out"
     proc = subprocess.run(
@@ -646,5 +711,6 @@ def test_help_gives_workers_default(command, capsys):
     with pytest.raises(SystemExit):
         main([command, "--help"])
     help_text = " ".join(capsys.readouterr().out.split())  # however argparse wraps it
-    assert "--workers WORKERS parallel worker processes (default: cpu count)" in help_text
+    workers = "--workers WORKERS parallel worker processes (default: CPUs this process may use)"
+    assert workers in help_text
     assert "--seeds SEEDS inclusive seed range a..b (default 1..10)" in help_text

@@ -15,7 +15,15 @@ from hypothesis import assume, example, given, strategies as st
 
 from wsnsim.engine import initial_state
 from wsnsim.model import NodeTier, ProtocolKind, SimConfig, deploy, weighted_probabilities
-from wsnsim.protocols import distance_factor, elect_heads, rotation, sep_threshold, threshold
+from wsnsim.protocols import (
+    ELECTION_WINDOW,
+    distance_factor,
+    elect_heads,
+    election_window,
+    rotation,
+    sep_threshold,
+    threshold,
+)
 
 
 def dbcp_threshold(p, r, d_i, d_avg):
@@ -233,6 +241,21 @@ class TestRotationPair:
             assert sep_threshold(pair, r) == min(1.0, 1.0 / (inv - r % epoch))
             e = pair[1]
             assert r - r % e + e == (r // epoch + 1) * epoch
+
+    @given(p=st.one_of(exact_rates, near_snap, any_rate), start=st.integers(0, 10**7))
+    @example(p=1e-300, start=0)
+    def test_window_rows_are_the_written_out_rule(self, p, start):
+        """Each row of an election window holds, for its round r, the
+        threshold min(1, 1/(1/p - r mod epoch)) and the next epoch's first
+        round r - r % epoch + epoch; an epoch past any int64 (a tiny p)
+        keeps its heads ineligible for as long as an int64 counts."""
+        inv, epoch = reference_pair(p)
+        window = election_window(((inv, epoch),), start)
+        assert window.start == start
+        for k in (0, 1, ELECTION_WINDOW // 2, ELECTION_WINDOW - 1):
+            r = start + k
+            assert window.thresholds[k, 0] == min(1.0, 1.0 / (inv - r % epoch))
+            assert window.renewed[k, 0] == min(r - r % epoch + epoch, 2**63 - 1)
 
     @given(config=valid_config, protocol=st.sampled_from(list(ProtocolKind)))
     def test_stored_pairs_follow_each_protocols_rates(self, config, protocol):

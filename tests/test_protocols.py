@@ -178,7 +178,9 @@ class TestElectHeads:
         state = state_for(protocol, nodes)
         reference = ReferenceElection(protocol, nodes, random.Random(7))
         draws = DrawStream(random.Random(7))
-        for r in range(40):
+        # across the end of the first ElectionWindow, and back before it
+        window = protocols.ELECTION_WINDOW
+        for r in [*range(40), *range(window - 20, window + 20), 7]:
             heads = elect_heads(state, state.alive, r, draws)
             assert heads.tolist() == reference.elect(range(60), r)
 
