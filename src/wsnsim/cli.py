@@ -275,7 +275,8 @@ def _write_comparison(
 def cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config, _collect_overrides(args))
     out_dir = _prepare_out(args.out)
-    result = engine.run(config)
+    tally = engine.DistanceTally()
+    result = engine.run(config, tally)
     _write_runs([result], out_dir)
     _echo_config(config, out_dir)
     s = result.summary
@@ -284,11 +285,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"fnd={s.fnd_round} hnd={s.hnd_round} lnd={s.lnd_round} "
         f"packets={s.total_packets} rounds={s.rounds_simulated}"
     )
-    print(
-        f"distances: mean member->head {result.mean_member_to_head_m:.2f} m, "
-        f"mean head->bs {result.mean_head_to_bs_m:.2f} m, "
-        f"deployment mean {result.d_avg:.2f} m"
-    )
+    member_m, head_m = tally.means()
+    print(f"distances: mean member->head {member_m:.2f} m, mean head->bs {head_m:.2f} m, "
+          f"deployment mean {result.d_avg:.2f} m")
     return 0
 
 

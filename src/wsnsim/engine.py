@@ -158,9 +158,9 @@ class SummaryMetrics(NamedTuple):
 class PairTables(NamedTuple):
     """Node x node tables of a run's fixed geometry, entry [i, j] for the
     pair (i, j): the squared distance form_clusters compares, the link
-    length link_lengths measures, and tx_energy over that link for the
-    run's packet_bits.  `row[i]` is i * n, where row i starts in the
-    flattened tables."""
+    length link_lengths measures (read by DistanceTally alone), and tx_energy
+    over that link for the run's packet_bits.  `row[i]` is i * n, where row
+    i starts in the flattened tables."""
 
     d2: np.ndarray
     link: np.ndarray
@@ -170,27 +170,24 @@ class PairTables(NamedTuple):
 
 @dataclass
 class EngineState:
-    """The node table of one run, every array indexed by node id, and the
-    run's running totals.
+    """One run's node table, every array indexed by node id, and its running
+    totals of packets delivered and energy dissipated: what pricing a round
+    needs, and no distance bookkeeping (see DistanceTally).
 
-    `alive` holds the ids of the alive nodes in ascending order,
-    `alive_tier` and `alive_factor` their tiers and distance factors in the
-    same order, and `alive_by_tier` the alive count of each tier: set_alive
-    gathers them whenever `alive` is set, so a round does not.  A node may
-    be elected again from round `eligible_from[i]` on.  `rotation` holds the
-    rotation pair (1/p, epoch) of each tier's election rate p (NodeTier
-    order) and `election_window` their election rule over the window of
-    rounds the last election fell in; `factor` is each node's dbcp distance
-    factor, 1 under leach and sep; `bs_cost` is each node's transmit cost to
-    the base station;
-    `fuse_cost[k]` is what a head pays to receive k members and fuse k+1
-    signals; `pairs` holds the PairTables of a network of at most
-    PAIR_TABLE_MAX_NODES nodes, else None, and `work` the WorkArrays that
-    larger networks' rounds write their grid search's slabs, member link
-    lengths and running sums into, else None.  `ramp` holds 0, 1, ..., n-1,
-    which a round slices instead of building an arange.  All but `energy`,
-    the alive columns, `eligible_from`, `election_window`, `work` and the
-    totals are fixed at initial_state.
+    set_alive gathers the alive ids `alive` (ascending) with their tiers
+    `alive_tier`, distance factors `alive_factor` and per-tier counts
+    `alive_by_tier`, so a round does not.  A node may be elected again from
+    round `eligible_from[i]` on.  `rotation` holds each tier's rotation pair
+    (1/p, epoch) in NodeTier order and `election_window` their rule over
+    the window of rounds the last election fell in; `factor` is the dbcp
+    distance factor (1 under leach and sep), `bs_cost` the transmit cost to
+    the base station and `fuse_cost[k]` what a head pays to receive k
+    members and fuse k+1 signals.  `pairs` holds the PairTables of a
+    network of at most PAIR_TABLE_MAX_NODES nodes; a larger one has `work`,
+    the WorkArrays its rounds write their grid slabs, member links and
+    running sums into.  `ramp` is 0..n-1, sliced instead of an arange.
+    Only `energy`, the alive columns, `eligible_from`, `election_window`,
+    `work` and the totals change after initial_state.
     """
 
     config: SimConfig
@@ -215,10 +212,6 @@ class EngineState:
     election_window: ElectionWindow = field(init=False)
     packets_cum: int = 0
     energy_dissipated: float = 0.0
-    member_distance_sum: float = 0.0
-    member_count: int = 0
-    head_distance_sum: float = 0.0
-    head_count_total: int = 0
 
     def __post_init__(self):
         self.set_alive(self.alive)
@@ -260,45 +253,67 @@ class DrawStream:
 
 
 class Ledger(NamedTuple):
-    """One round's energy charges in the order the ledger adds them, a
-    stable sort keyed on each member's head index and each head's own: cluster
-    by cluster (ascending head id), its members in ascending id, then its
-    head.  In zero-head rounds, every alive node in ascending id.  `links`
-    holds the member-to-head distances in the members' order.  All three are
-    fresh arrays, never views of a run's work arrays."""
+    """One round's charges, `costs[k]` to node `ids[k]`, in the order the
+    ledger adds them, a stable sort keyed on each member's head index and
+    each head's own: cluster by cluster (ascending head id), its members in
+    ascending id, then its head.  In zero-head rounds, every alive node in
+    ascending id.  Both are fresh arrays, never views of work arrays."""
 
     ids: np.ndarray
     costs: np.ndarray
-    links: np.ndarray
 
 
 @dataclass(frozen=True)
 class RunResult:
+    """A run's config, series and summary, its nodes' mean distance to the
+    base station (m) and the energy they held and dissipated (J)."""
+
     config: SimConfig
     series: Series
     summary: SummaryMetrics
     d_avg: float
     initial_energy_j: float
     energy_dissipated_j: float
-    mean_member_to_head_m: float
-    mean_head_to_bs_m: float
 
 
 def _sequential_sum(values: np.ndarray, work: WorkArrays | None = None) -> float:
     """values[0] + values[1] + ..., added left to right as a Python loop
     would.  np.sum adds pairwise and builtin sum compensates (Python 3.12+),
     and either can change the last bit.  With `work`, the running sum is
-    taken in a work array: on an n=10000 sep round, taking the charges' and
-    the member links' sums afresh added a median of 19 minor faults."""
+    taken in a work array, which saves a large round minor faults."""
     if not len(values):
         return 0.0
     sums = None if work is None else work.get("sums", len(values))
     return float(np.add.accumulate(values, out=sums)[-1])
 
 
-def _mean(total: float, count: int) -> float:
-    """total / count, or NaN when nothing was counted."""
-    return total / count if count else math.nan
+class DistanceTally:
+    """The mean member-to-head link and head-to-base-station distance of the
+    rounds that run(config, tally) hands it, those that elect a head.  Each
+    round's links are added cluster by cluster, its heads in ascending id,
+    the seed copy's order; without PairTables the links are measured again."""
+
+    def __init__(self) -> None:
+        self.member_sum = self.head_sum = 0.0
+        self.member_count = self.head_count = 0
+
+    def add(self, state: EngineState, heads, members, head_of) -> None:
+        """Count one round's clusters, as form_clusters returned them."""
+        order = stable_order(head_of, len(heads))
+        ids, to = members[order], heads[head_of[order]]
+        if state.pairs is not None:
+            links = state.pairs.link[ids, to]
+        else:
+            links = link_lengths(state.x[ids] - state.x[to], state.y[ids] - state.y[to])
+        self.member_sum += _sequential_sum(links)
+        self.member_count += len(links)
+        self.head_sum += _sequential_sum(state.d_bs[heads])
+        self.head_count += len(heads)
+
+    def means(self) -> tuple[float, float]:
+        """(member-to-head, head-to-bs) means in metres, NaN over no link."""
+        m, h = self.member_count, self.head_count
+        return self.member_sum / m if m else math.nan, self.head_sum / h if h else math.nan
 
 
 def pair_tables(config: SimConfig, x: np.ndarray, y: np.ndarray) -> PairTables:
@@ -313,24 +328,21 @@ def pair_tables(config: SimConfig, x: np.ndarray, y: np.ndarray) -> PairTables:
 
 
 def transmission_costs(
-    state: EngineState,
-    heads: np.ndarray,
-    members: np.ndarray,
-    head_of: np.ndarray | None,
+    state: EngineState, heads: np.ndarray, members: np.ndarray, head_of: np.ndarray | None
 ) -> Ledger:
     """Energy cost of one round's traffic, for the clusters form_clusters
     returned, priced for the run's config.
 
     Members pay one transmission to their head; heads pay reception per
     member, aggregation over members+1 signals, and one transmission to the
-    base station, all in the Ledger's order (one stable_order on the head
+    base station, all in the Ledger's order (one stable sort on the head
     index).  Without heads (`head_of` None) every node of `members` pays one
-    transmission to the base station.  Member links and their costs come
-    from the run's PairTables if it has them; otherwise they are measured
-    here, into the run's work array for links.
+    transmission to the base station.  Member costs come from the run's
+    PairTables if it has them; otherwise the links are measured into the
+    run's work array for links and priced.
     """
     if head_of is None:
-        return Ledger(members, state.bs_cost[members], np.empty(0))
+        return Ledger(members, state.bs_cost[members])
     n_members = np.bincount(head_of, minlength=len(heads))
     head_costs = state.fuse_cost[n_members] + state.bs_cost[heads]
     head_ids = heads[head_of]
@@ -340,25 +352,25 @@ def transmission_costs(
     if pairs is not None:
         at = pairs.row[members]
         at += head_ids
-        links, member_costs = pairs.link.take(at), pairs.tx.take(at)
+        member_costs = pairs.tx.take(at)
         # on at most PAIR_TABLE_MAX_NODES keys, narrowing them for a radix
         # sort costs more than it saves
         order = keys.argsort(kind="stable")
     else:
         dx, dy = state.x[members] - state.x[head_ids], state.y[members] - state.y[head_ids]
-        links = link_lengths(dx, dy, state.work)
-        member_costs = tx_energy(state.config, links)
+        member_costs = tx_energy(state.config, link_lengths(dx, dy, state.work))
         order = stable_order(keys, len(heads))
     ids = np.concatenate((members, heads))[order]
     costs = np.concatenate((member_costs, head_costs))[order]
-    # compared with a 0-d view of the ramp: numpy converts a Python int
-    # operand on every call
-    return Ledger(ids, costs, links[order[order < state.ramp[len(members), ...]]])
+    return Ledger(ids, costs)
 
 
-def simulate_round(state: EngineState, r: int, draws: DrawStream) -> RoundMetrics:
+def simulate_round(
+    state: EngineState, r: int, draws: DrawStream, observer: DistanceTally | None = None
+) -> RoundMetrics:
     """Advance the network one round, taking one draw per alive node from
-    `draws`; returns metrics sampled at round end."""
+    `draws`; returns metrics sampled at round end.  `observer` counts the
+    clusters if the round elects a head."""
     alive = state.alive
     heads = elect_heads(state, alive, r, draws)
     pairs = state.pairs
@@ -384,13 +396,8 @@ def simulate_round(state: EngineState, r: int, draws: DrawStream) -> RoundMetric
 
     packets = len(heads) or len(alive)
     state.packets_cum += packets
-    if len(heads):
-        # a zero-head round has no links and no heads: both sums would add
-        # exactly 0.0 to totals that are never -0.0
-        state.member_distance_sum += _sequential_sum(ledger.links, state.work)
-        state.member_count += len(ledger.links)
-        state.head_distance_sum += _sequential_sum(state.d_bs[heads])
-        state.head_count_total += len(heads)
+    if observer is not None and len(heads):
+        observer.add(state, heads, members, head_of)
 
     return RoundMetrics(
         r + 1,
@@ -435,11 +442,11 @@ def initial_state(config: SimConfig, nodes: Deployment) -> EngineState:
     )
 
 
-def run(config: SimConfig) -> RunResult:
+def run(config: SimConfig, observer: DistanceTally | None = None) -> RunResult:
     """Deploy and simulate until every node is dead or max_rounds is reached.
 
     One random.Random(config.seed) serves the run: deploy takes its first 2n
-    draws, and the rounds take the rest in order through a DrawStream."""
+    draws, and the rounds, each handed `observer`, the rest in order."""
     rng = random.Random(config.seed)
     nodes = deploy(config, rng)
     draws = DrawStream(rng)
@@ -451,7 +458,7 @@ def run(config: SimConfig) -> RunResult:
     fnd = hnd = lnd = None
     half = config.n // 2
     for r in range(config.max_rounds):
-        metrics = simulate_round(state, r, draws)
+        metrics = simulate_round(state, r, draws, observer)
         rows.append(metrics)
         if len(rows) == SERIES_CHUNK:
             chunks.append(Series.from_rows(rows))
@@ -474,6 +481,4 @@ def run(config: SimConfig) -> RunResult:
         d_avg=state.d_avg,
         initial_energy_j=initial_energy,
         energy_dissipated_j=state.energy_dissipated,
-        mean_member_to_head_m=_mean(state.member_distance_sum, state.member_count),
-        mean_head_to_bs_m=_mean(state.head_distance_sum, state.head_count_total),
     )

@@ -195,10 +195,12 @@ class TestRunCommand:
 
     def test_prints_distances_line(self, tmp_path, capsys):
         main(["run", "--out", str(tmp_path / "out"), "--n", "10", "--max-rounds", "20"])
-        result = engine.run(parse_config(None, {"n": 10, "max_rounds": 20}))
+        tally = engine.DistanceTally()
+        result = engine.run(parse_config(None, {"n": 10, "max_rounds": 20}), tally)
+        member_m, head_m = tally.means()
         assert capsys.readouterr().out.splitlines()[1] == (
-            f"distances: mean member->head {result.mean_member_to_head_m:.2f} m, "
-            f"mean head->bs {result.mean_head_to_bs_m:.2f} m, "
+            f"distances: mean member->head {member_m:.2f} m, "
+            f"mean head->bs {head_m:.2f} m, "
             f"deployment mean {result.d_avg:.2f} m"
         )
 

@@ -54,13 +54,9 @@ def _load_seed_copy():
 
 SEED_CLI, SEED_ENGINE = _load_seed_copy()
 
-TOTALS = (
-    "d_avg",
-    "initial_energy_j",
-    "energy_dissipated_j",
-    "mean_member_to_head_m",
-    "mean_head_to_bs_m",
-)
+TOTALS = ("d_avg", "initial_energy_j", "energy_dissipated_j")
+# the seed copy's result fields that engine.DistanceTally.means() returns
+MEANS = ("mean_member_to_head_m", "mean_head_to_bs_m")
 
 
 @st.composite
@@ -102,7 +98,8 @@ def _outcome(config_parser, run, values: dict):
 
 
 def _assert_matches_seed_copy(values: dict) -> None:
-    mine = _outcome(cli.parse_config, engine.run, values)
+    tally = engine.DistanceTally()
+    mine = _outcome(cli.parse_config, lambda config: engine.run(config, tally), values)
     seed = _outcome(SEED_CLI.parse_config, SEED_ENGINE.run, values)
     if isinstance(mine, str) or isinstance(seed, str):
         assert mine == seed
@@ -113,6 +110,8 @@ def _assert_matches_seed_copy(values: dict) -> None:
     assert tuple(mine.summary) == dataclasses.astuple(seed.summary)
     for name in TOTALS:
         assert repr(getattr(mine, name)) == repr(getattr(seed, name)), name
+    for name, mean in zip(MEANS, tally.means()):
+        assert repr(mean) == repr(getattr(seed, name)), name
 
 
 ORACLE_SETTINGS = settings(

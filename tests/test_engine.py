@@ -34,17 +34,39 @@ def homogeneous(e0=0.5):
     return dict(m=0.0, m0=0.0, a=0.0, b=0.0, e0=e0)
 
 
-def ledger_for(nodes, heads, members, head_of, bits=4000):
-    """transmission_costs for the given clusters, priced with the
-    base-station costs initial_state builds for a run over `nodes`."""
+def round_inputs(nodes, heads, members, head_of, bits=4000):
+    """(state, heads, members, head_of) of one round of the given clusters,
+    the state the one initial_state builds for a run over `nodes`."""
     config = SimConfig(n=len(nodes.x), packet_bits=bits)
-    state = initial_state(config, nodes)
-    return transmission_costs(
-        state,
+    return (
+        initial_state(config, nodes),
         np.array(heads, dtype=np.intp),
         np.array(members, dtype=np.intp),
         None if head_of is None else np.array(head_of, dtype=np.intp),
     )
+
+
+def ledger_for(nodes, heads, members, head_of, bits=4000):
+    """transmission_costs for the given clusters, priced with the
+    base-station costs initial_state builds for a run over `nodes`."""
+    return transmission_costs(*round_inputs(nodes, heads, members, head_of, bits))
+
+
+def tally_terms(nodes, heads, members, head_of):
+    """A DistanceTally that counted one round of the given clusters, and
+    the terms of each running sum it took, in the order it added them."""
+    state, *clusters = round_inputs(nodes, heads, members, head_of)
+    terms, sequential_sum = [], engine._sequential_sum
+
+    def spy(values, work=None):
+        terms.append(values.tolist())
+        return sequential_sum(values, work)
+
+    tally = engine.DistanceTally()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_sequential_sum", spy)
+        tally.add(state, *clusters)
+    return tally, terms
 
 
 def costs_by_id(ledger):
@@ -52,13 +74,13 @@ def costs_by_id(ledger):
 
 
 def ledger_lists(ledger):
-    return ledger.ids.tolist(), ledger.costs.tolist(), ledger.links.tolist()
+    return ledger.ids.tolist(), ledger.costs.tolist()
 
 
 def per_cluster_ledger(config, nodes, heads, members, head_of):
     """(ids, costs, links) as a loop over the clusters charges them: each
-    head's members in ascending id, then the head; with no head, every node
-    direct to the base station."""
+    head's members in ascending id, then the head, and each member's link
+    to its head; with no head, every node direct to the base station."""
     x, y, d_bs = nodes.x.tolist(), nodes.y.tolist(), nodes.d_bs.tolist()
     if head_of is None:
         return members, [tx_energy(config, d_bs[i]) for i in members], []
@@ -88,22 +110,19 @@ class TestTransmissionCosts:
         assert costs[1] == pytest.approx(3.6e-5, abs=1e-12)
         assert costs[0] == pytest.approx(1.16e-4, abs=1e-12)
         assert ledger.ids.tolist() == [1, 0]  # the member is charged first
-        assert ledger.links.tolist() == [pytest.approx(20.0, rel=1e-12)]
 
     def test_ledger_order_cluster_by_cluster(self, make_deployment):
         """Clusters in ascending head id, each with its members in ascending
-        id followed by its head; links follow the members' order."""
+        id followed by its head."""
         nodes = make_deployment([(float(i), 0.0) for i in range(7)])
         ledger = ledger_for(nodes, [2, 5], [0, 1, 3, 4, 6], [1, 0, 1, 0, 0])
         assert ledger.ids.tolist() == [1, 4, 6, 2, 0, 3, 5]
-        assert ledger.links.tolist() == [1.0, 2.0, 4.0, 5.0, 2.0]
 
     def test_zero_head_round_all_direct(self, make_deployment):
         nodes = make_deployment([(50.0 + 10.0 * i, 50.0) for i in range(3)])
         radio = SimConfig()
         ledger = ledger_for(nodes, [], [0, 1, 2], None)
         assert ledger.ids.tolist() == [0, 1, 2]
-        assert len(ledger.links) == 0
         for i, cost in costs_by_id(ledger).items():
             assert cost == tx_energy(radio, nodes.d_bs[i])
 
@@ -123,7 +142,9 @@ class TestTransmissionCosts:
     def test_ledger_matches_per_cluster_loop(self, make_deployment, table_max, data):
         """Any clustering, on both pricing paths, gives what a loop over the
         clusters charges: each head's members in ascending id, then the head;
-        with no head, every node direct to the base station."""
+        with no head, every node direct to the base station.  A tally of a
+        round with heads adds the members' links in that order, then the
+        heads' distances to the base station in ascending id."""
         coord = st.floats(min_value=0.0, max_value=100.0)
         coords = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=25))
         n = len(coords)
@@ -141,8 +162,13 @@ class TestTransmissionCosts:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "PAIR_TABLE_MAX_NODES", table_max)
             ledger = ledger_for(nodes, heads, members, head_of)
+            tally, terms = tally_terms(nodes, heads, members, head_of) if heads else (None, None)
 
-        assert ledger_lists(ledger) == per_cluster_ledger(config, nodes, heads, members, head_of)
+        ids, costs, links = per_cluster_ledger(config, nodes, heads, members, head_of)
+        assert ledger_lists(ledger) == (ids, costs)
+        if heads:
+            assert terms == [links, nodes.d_bs[heads].tolist()]
+            assert (tally.member_count, tally.head_count) == (len(links), len(heads))
 
     @pytest.mark.parametrize("table_max", [300, 0], ids=["tables", "per_round"])
     def test_ledger_past_255_heads_matches_per_cluster_loop(self, monkeypatch, table_max):
@@ -158,7 +184,9 @@ class TestTransmissionCosts:
         monkeypatch.setattr(engine, "PAIR_TABLE_MAX_NODES", table_max)
         assert (initial_state(config, nodes).pairs is None) == (table_max == 0)
         ledger = ledger_for(nodes, heads, members, head_of)
-        assert ledger_lists(ledger) == per_cluster_ledger(config, nodes, heads, members, head_of)
+        ids, costs, links = per_cluster_ledger(config, nodes, heads, members, head_of)
+        assert ledger_lists(ledger) == (ids, costs)
+        assert tally_terms(nodes, heads, members, head_of)[1][0] == links
 
     @given(
         hx=st.floats(min_value=0.0, max_value=100.0),
@@ -243,12 +271,13 @@ class TestPairTables:
         states.append(initial_state(config, nodes))
         assert states[1].pairs is None
         streams = [DrawStream(random.Random(seed)), DrawStream(random.Random(seed))]
+        tallies = [engine.DistanceTally(), engine.DistanceTally()]
         for r in range(400):
-            a, b = (simulate_round(st, r, g) for st, g in zip(states, streams))
+            a, b = (simulate_round(st, r, g, t) for st, g, t in zip(states, streams, tallies))
             assert a == b
         assert states[0].energy.tolist() == states[1].energy.tolist()
-        for total in ("energy_dissipated", "member_distance_sum", "head_distance_sum"):
-            assert getattr(states[0], total) == getattr(states[1], total)
+        assert states[0].energy_dissipated == states[1].energy_dissipated
+        assert vars(tallies[0]) == vars(tallies[1])
 
 
 # A fresh process's n=10000 run: three rounds size the run's work arrays,
@@ -332,7 +361,8 @@ class TestSimulateRound:
         config = SimConfig(n=2, protocol=ProtocolKind.LEACH, **homogeneous(1.0))
         nodes = make_deployment([(50.0, 80.0), (50.0, 100.0)])  # head, member
         state = rigged_state(nodes, config, sole_head_id=0)
-        metrics = simulate_round(state, 9, DrawStream(random.Random(0)))
+        tally = engine.DistanceTally()
+        metrics = simulate_round(state, 9, DrawStream(random.Random(0)), tally)
         assert metrics.round == 10
         assert metrics.head_count == 1
         assert metrics.packets_to_bs_round == 1
@@ -341,20 +371,24 @@ class TestSimulateRound:
         assert state.energy[1] == pytest.approx(1.0 - 3.6e-5, abs=1e-12)
         assert metrics.residual_energy_j == pytest.approx(2.0 - 1.52e-4, abs=1e-11)
         assert state.energy_dissipated == pytest.approx(1.52e-4, abs=1e-12)
-        assert state.member_count == 1
-        assert state.member_distance_sum == pytest.approx(20.0, rel=1e-12)
-        assert state.head_distance_sum == pytest.approx(30.0, rel=1e-12)
+        # the member's 20 m link to its head, the head's 30 m to the base station
+        assert (tally.member_count, tally.head_count) == (1, 1)
+        assert tally.member_sum == pytest.approx(20.0, rel=1e-12)
+        assert tally.head_sum == pytest.approx(30.0, rel=1e-12)
 
     def test_zero_head_round_direct_to_bs(self, make_deployment):
         config = SimConfig(n=4, protocol=ProtocolKind.SEP, **homogeneous(1.0))
         nodes = make_deployment([(50.0, 55.0 + 5.0 * i) for i in range(4)])
         state = rigged_state(nodes, config, sole_head_id=None)
         before = sum(nodes.energy.tolist())
-        metrics = simulate_round(state, 0, DrawStream(random.Random(0)))
+        tally = engine.DistanceTally()
+        metrics = simulate_round(state, 0, DrawStream(random.Random(0)), tally)
         assert metrics.head_count == 0
         assert metrics.packets_to_bs_round == 4
         expected_cost = sum(tx_energy(config, d) for d in nodes.d_bs.tolist())
         assert before - metrics.residual_energy_j == pytest.approx(expected_cost, abs=1e-12)
+        # a zero-head round has no link to count
+        assert vars(tally) == vars(engine.DistanceTally())
 
     def test_insufficient_energy_clamps_and_kills(self, make_deployment):
         config = SimConfig(n=3, protocol=ProtocolKind.LEACH, **homogeneous(1.0))
@@ -493,6 +527,49 @@ class TestRun:
             assert type(residual) is float
         assert all(v is None or type(v) is int for v in result.summary)
         assert pickle.loads(pickle.dumps(result)) == result
+
+
+class TestDistanceTally:
+    @pytest.mark.parametrize(
+        "table_max", [engine.PAIR_TABLE_MAX_NODES, 0], ids=["tables", "per_round"]
+    )
+    def test_links_added_cluster_by_cluster(self, make_deployment, monkeypatch, table_max):
+        """Heads 2 and 5 of nodes on a line: head 2's members 1, 4 and 6,
+        then head 5's members 0 and 3, then the heads' distances."""
+        monkeypatch.setattr(engine, "PAIR_TABLE_MAX_NODES", table_max)
+        nodes = make_deployment([(float(i), 0.0) for i in range(7)])
+        tally, terms = tally_terms(nodes, [2, 5], [0, 1, 3, 4, 6], [1, 0, 1, 0, 0])
+        assert terms == [[1.0, 2.0, 4.0, 5.0, 2.0], nodes.d_bs[[2, 5]].tolist()]
+        assert (tally.member_sum, tally.member_count) == (14.0, 5)
+        assert tally.head_count == 2
+
+    def test_nothing_counted_gives_nan(self):
+        member_m, head_m = engine.DistanceTally().means()
+        assert math.isnan(member_m) and math.isnan(head_m)
+
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        p_opt=st.sampled_from([0.02, 0.1, 0.3]),
+        e0=st.floats(min_value=0.002, max_value=0.05),
+        protocol=st.sampled_from(list(ProtocolKind)),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=25, deadline=None)
+    @pytest.mark.parametrize(
+        "table_max", [engine.PAIR_TABLE_MAX_NODES, 0], ids=["tables", "per_round"]
+    )
+    def test_run_with_a_tally_gives_the_same_result(self, table_max, n, p_opt, e0, protocol, seed):
+        """Attaching a tally changes nothing a run returns, on both pricing
+        paths, through deaths and zero-head rounds."""
+        config = SimConfig(n=n, p_opt=p_opt, e0=e0, protocol=protocol, seed=seed, max_rounds=1500)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "PAIR_TABLE_MAX_NODES", table_max)
+            plain = engine.run(config)
+            tallied = engine.run(config, engine.DistanceTally())
+        assert tallied.series == plain.series
+        assert tallied.summary == plain.summary
+        assert tallied.energy_dissipated_j == plain.energy_dissipated_j
+        assert tallied.initial_energy_j == plain.initial_energy_j
 
 
 class TestSeries:

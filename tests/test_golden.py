@@ -17,7 +17,8 @@ IN_MEMORY pins the exact repr of the run totals that no output file
 carries, for every run of the defaults and n10000 cases; they were taken
 before the engine moved from node objects to arrays.  Criterion 6 checks the
 dissipation ledger only to 1e-9 J, so the order in which the ledger, the
-residual and the distance sums are added up is guarded here.
+residual and a DistanceTally's sums are added up is guarded here.  CONSOLE
+pins what `wsnsim run` prints, the only place the distance means appear.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ import hashlib
 import pytest
 
 from wsnsim.cli import main
-from wsnsim.engine import run
+from wsnsim.engine import DistanceTally, run
 from wsnsim.model import ProtocolKind, SimConfig
 
 CASES = {
@@ -131,8 +132,8 @@ def test_outputs_match_golden_digests(case, tmp_path):
 
 RUN_CONFIGS = {"defaults": {"max_rounds": 1000}, "n10000": {"n": 10000, "max_rounds": 3}}
 
-# (energy_dissipated_j, initial_energy_j, d_avg, mean_member_to_head_m,
-#  mean_head_to_bs_m) of each run, keyed by (case, protocol, seed)
+# (energy_dissipated_j, initial_energy_j, d_avg) of each run and its tally's
+# (member-to-head, head-to-bs) means, keyed by (case, protocol, seed)
 IN_MEMORY = {
     ("defaults", "leach", 1): (
         "(8.200754501307932, 75.0, 37.33946843789477, 18.712037323403177, 37.33946843789481)"
@@ -167,12 +168,27 @@ IN_MEMORY = {
 @pytest.mark.parametrize("case, protocol, seed", sorted(IN_MEMORY))
 def test_in_memory_totals_match_pins(case, protocol, seed):
     config = SimConfig(protocol=ProtocolKind(protocol), seed=seed, **RUN_CONFIGS[case])
-    result = run(config)
-    totals = (
-        result.energy_dissipated_j,
-        result.initial_energy_j,
-        result.d_avg,
-        result.mean_member_to_head_m,
-        result.mean_head_to_bs_m,
-    )
+    tally = DistanceTally()
+    result = run(config, tally)
+    totals = (result.energy_dissipated_j, result.initial_energy_j, result.d_avg, *tally.means())
     assert repr(totals) == IN_MEMORY[(case, protocol, seed)]
+
+
+# what `wsnsim run` prints for the given flags
+CONSOLE = {
+    ("--max-rounds", "1000"): (
+        "dbcp seed=1: fnd=None hnd=None lnd=None packets=7484 rounds=1000\n"
+        "distances: mean member->head 22.89 m, mean head->bs 40.16 m, deployment mean 37.34 m\n"
+    ),
+    # one node: no round has a member link, so that mean is NaN
+    ("--n", "1", "--max-rounds", "50"): (
+        "dbcp seed=1: fnd=None hnd=None lnd=None packets=50 rounds=50\n"
+        "distances: mean member->head nan m, mean head->bs 50.44 m, deployment mean 50.44 m\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", sorted(CONSOLE), ids=" ".join)
+def test_run_console_matches_pins(flags, tmp_path, capsys):
+    assert main(["run", "--out", str(tmp_path / "out"), *flags]) == 0
+    assert capsys.readouterr().out == CONSOLE[flags]

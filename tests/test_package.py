@@ -31,8 +31,11 @@ def test_root_exports_what_readme_documents():
 
 
 def test_readme_library_example_runs():
-    section = README.read_text().split("## Library use", 1)[1]
-    exec(re.search(r"```python\n(.*?)```", section, re.S).group(1), {})
+    section = README.read_text().split("## Library use", 1)[1].split("\n## ", 1)[0]
+    examples = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(examples) == 2  # the plain run and the DistanceTally one
+    for example in examples:
+        exec(example, {})
 
 
 def test_run_leaves_numpy_random_unimported():

@@ -63,8 +63,6 @@ def make_run(protocol, seed, alive_curve, cum_curve, fnd=None, hnd=None, lnd=Non
         d_avg=30.0,
         initial_energy_j=2.0,
         energy_dissipated_j=1.0,
-        mean_member_to_head_m=10.0,
-        mean_head_to_bs_m=20.0,
     )
 
 
@@ -415,8 +413,6 @@ class TestMemoryBounds:
                     d_avg=30.0,
                     initial_energy_j=2.0,
                     energy_dissipated_j=1.0,
-                    mean_member_to_head_m=10.0,
-                    mean_head_to_bs_m=20.0,
                 )
                 for proto in ProtocolKind
                 for seed in seeds
